@@ -32,6 +32,22 @@ func New(n int) *Set {
 	}
 }
 
+// NewSets returns count empty sets over the universe [0, n), backed by
+// one shared word array: callers that keep one set per graph element
+// pay two allocations instead of two per set.
+func NewSets(count, n int) []Set {
+	if n < 0 {
+		n = 0
+	}
+	stride := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*stride)
+	sets := make([]Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*stride : (i+1)*stride : (i+1)*stride], n: n}
+	}
+	return sets
+}
+
 // FromSlice returns a set over [0, n) containing every element of elems.
 // Elements outside [0, n) are ignored.
 func FromSlice(n int, elems []int) *Set {
@@ -93,6 +109,22 @@ func (s *Set) IntersectionCount(o *Set) int {
 		c += bits.OnesCount64(s.words[i] & o.words[i])
 	}
 	return c
+}
+
+// FirstCommon returns the smallest element of s ∩ o and true, or
+// (0, false) when the sets are disjoint. Like IntersectionCount it
+// works over the common prefix of the universes and does not allocate.
+func (s *Set) FirstCommon(o *Set) (int, bool) {
+	m := len(s.words)
+	if len(o.words) < m {
+		m = len(o.words)
+	}
+	for i := 0; i < m; i++ {
+		if w := s.words[i] & o.words[i]; w != 0 {
+			return i*wordBits + bits.TrailingZeros64(w), true
+		}
+	}
+	return 0, false
 }
 
 // Intersects reports whether s and o share at least one element.

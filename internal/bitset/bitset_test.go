@@ -410,3 +410,55 @@ func TestMatrixOutOfRange(t *testing.T) {
 		t.Error("negative dims should yield an empty matrix")
 	}
 }
+
+// TestQuickFirstCommon checks FirstCommon against the smallest element
+// of the modelled intersection.
+func TestQuickFirstCommon(t *testing.T) {
+	f := func(aIn, bIn []uint8) bool {
+		const n = 256
+		a, b := New(n), New(n)
+		bm := make(model)
+		for _, e := range aIn {
+			a.Add(int(e))
+		}
+		for _, e := range bIn {
+			b.Add(int(e))
+			bm[int(e)] = true
+		}
+		want, wantOK := 0, false
+		for _, e := range a.Elems(nil) {
+			if bm[e] {
+				want, wantOK = e, true
+				break
+			}
+		}
+		got, ok := a.FirstCommon(b)
+		return ok == wantOK && got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNewSetsIndependent checks the sets NewSets returns share backing
+// storage but not elements: writes to one never show in another.
+func TestNewSetsIndependent(t *testing.T) {
+	sets := NewSets(3, 70)
+	sets[1].Add(0)
+	sets[1].Add(69)
+	for i := range sets {
+		if sets[i].Len() != 70 {
+			t.Fatalf("set %d: Len = %d, want 70", i, sets[i].Len())
+		}
+		want := 0
+		if i == 1 {
+			want = 2
+		}
+		if got := sets[i].Count(); got != want {
+			t.Errorf("set %d: Count = %d, want %d", i, got, want)
+		}
+	}
+	if len(NewSets(0, 10)) != 0 {
+		t.Error("NewSets(0, n) returned sets")
+	}
+}

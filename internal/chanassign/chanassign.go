@@ -121,16 +121,11 @@ func (a *Assignment) SharedCount(u, v int) int {
 	return a.sets[u].IntersectionCount(a.sets[v])
 }
 
-// SharedChannels returns the global channels u and v share.
-func (a *Assignment) SharedChannels(u, v int) []int32 {
-	inter := a.sets[u].Clone()
-	inter.Intersect(a.sets[v])
-	var out []int32
-	inter.ForEach(func(g int) bool {
-		out = append(out, int32(g))
-		return true
-	})
-	return out
+// FirstShared returns the lowest-numbered global channel u and v share
+// and true, or (0, false) when they share none. It does not allocate.
+func (a *Assignment) FirstShared(u, v int) (int32, bool) {
+	g, ok := a.sets[u].FirstCommon(a.sets[v])
+	return int32(g), ok
 }
 
 // OverlapRange returns the minimum and maximum pairwise overlap over

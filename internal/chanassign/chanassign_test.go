@@ -180,19 +180,18 @@ func TestLocalUnknownChannel(t *testing.T) {
 }
 
 func TestSharedChannels(t *testing.T) {
-	r := rng.New(9)
-	a, err := SharedCore(4, 6, 3, r)
+	a, err := FromSets(8, [][]int{{1, 5, 6}, {0, 5, 6}, {2, 3, 4}}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := a.SharedChannels(0, 1)
-	if len(shared) != 3 {
-		t.Fatalf("SharedChannels(0,1) = %v, want 3 channels", shared)
+	if g, ok := a.FirstShared(0, 1); !ok || g != 5 {
+		t.Errorf("FirstShared(0,1) = %d, %v; want 5, true", g, ok)
 	}
-	for _, g := range shared {
-		if !a.Set(0).Contains(int(g)) || !a.Set(1).Contains(int(g)) {
-			t.Errorf("channel %d not in both sets", g)
-		}
+	if a.SharedCount(0, 1) != 2 {
+		t.Errorf("SharedCount(0,1) = %d, want 2", a.SharedCount(0, 1))
+	}
+	if g, ok := a.FirstShared(1, 2); ok {
+		t.Errorf("FirstShared(1,2) = %d, true for disjoint sets", g)
 	}
 }
 

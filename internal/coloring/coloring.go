@@ -18,6 +18,7 @@ package coloring
 
 import (
 	"fmt"
+	"sort"
 
 	"crn/internal/bitset"
 	"crn/internal/graph"
@@ -38,11 +39,24 @@ type NodeState struct {
 // NewNodeState returns an active node with a full plate of numColors
 // colors.
 func NewNodeState(numColors int) *NodeState {
-	plate := bitset.New(numColors)
-	for c := 0; c < numColors; c++ {
-		plate.Add(c)
+	return &NewNodeStates(1, numColors)[0]
+}
+
+// NewNodeStates returns count active nodes, each with a full plate of
+// numColors colors. The plates share one backing array, so CGCAST's one
+// virtual node per edge costs three allocations in total, not three
+// per edge.
+func NewNodeStates(count, numColors int) []NodeState {
+	plates := bitset.NewSets(count, numColors)
+	states := make([]NodeState, count)
+	for i := range states {
+		plate := &plates[i]
+		for c := 0; c < numColors; c++ {
+			plate.Add(c)
+		}
+		states[i] = NodeState{plate: plate, color: NoColor, proposal: NoColor}
 	}
-	return &NodeState{plate: plate, color: NoColor, proposal: NoColor}
+	return states
 }
 
 // Active reports whether the node still needs a color.
@@ -127,10 +141,7 @@ func Run(g *graph.Graph, numColors, maxPhases int, r *rng.Source) (Result, error
 		return Result{}, fmt.Errorf("coloring: %d colors cannot color max degree %d", numColors, g.MaxDegree())
 	}
 	n := g.N()
-	states := make([]*NodeState, n)
-	for u := 0; u < n; u++ {
-		states[u] = NewNodeState(numColors)
-	}
+	states := NewNodeStates(n, numColors)
 
 	proposals := make([]int, n)
 	decided := make([]int, n)
@@ -228,6 +239,50 @@ func ValidateEdgeColoring(g *graph.Graph, edgeColors map[graph.Edge]int, numColo
 					e.U, e.V, other.U, other.V, c, end)
 			}
 			seen[key] = e
+		}
+	}
+	return nil
+}
+
+// ValidatePartialEdgeColoring checks that colors, indexed by position
+// in g.Edges(), is a proper coloring of the colored subgraph: NoColor
+// marks an uncolored edge, every other color must be non-negative, and
+// no two colored edges sharing an endpoint may share a color. Unlike
+// ValidateEdgeColoring it sets no palette bound and allows gaps, which
+// is what CGCAST realizes after dropping edges it failed to color.
+func ValidatePartialEdgeColoring(g *graph.Graph, colors []int) error {
+	edges := g.Edges()
+	if len(colors) != len(edges) {
+		return fmt.Errorf("coloring: %d edge colors for %d edges", len(colors), len(edges))
+	}
+	// One (endpoint, color) incidence per colored edge end; sorting
+	// brings any two equal incidences next to each other.
+	type incidence struct {
+		node  int32
+		color int
+		edge  int
+	}
+	inc := make([]incidence, 0, 2*len(edges))
+	for i, c := range colors {
+		if c == NoColor {
+			continue
+		}
+		if c < 0 {
+			return fmt.Errorf("coloring: edge (%d,%d) has color %d out of range", edges[i].U, edges[i].V, c)
+		}
+		inc = append(inc, incidence{edges[i].U, c, i}, incidence{edges[i].V, c, i})
+	}
+	sort.Slice(inc, func(i, j int) bool {
+		if inc[i].node != inc[j].node {
+			return inc[i].node < inc[j].node
+		}
+		return inc[i].color < inc[j].color
+	})
+	for i := 1; i < len(inc); i++ {
+		if a, b := inc[i-1], inc[i]; a.node == b.node && a.color == b.color {
+			ea, eb := edges[a.edge], edges[b.edge]
+			return fmt.Errorf("coloring: edges (%d,%d) and (%d,%d) share color %d at node %d",
+				ea.U, ea.V, eb.U, eb.V, a.color, a.node)
 		}
 	}
 	return nil

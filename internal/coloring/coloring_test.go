@@ -229,3 +229,34 @@ func TestQuickRunAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestValidatePartialEdgeColoring(t *testing.T) {
+	// Path 0-1-2-3 plus chord 1-3: edges in g.Edges() order are
+	// (0,1) (1,2) (1,3) (2,3).
+	g := graph.New(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 3}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	g.Finalize()
+	cases := []struct {
+		name   string
+		colors []int
+		ok     bool
+	}{
+		{"proper", []int{0, 1, 2, 0}, true},
+		{"clash beside uncolored edges", []int{NoColor, 1, NoColor, 1}, false},
+		{"shared endpoint and color", []int{0, 0, NoColor, NoColor}, false},
+		{"disjoint edges may share a color", []int{3, NoColor, NoColor, 3}, true},
+		{"all uncolored", []int{NoColor, NoColor, NoColor, NoColor}, true},
+		{"color out of range", []int{0, 1, -2, NoColor}, false},
+		{"length mismatch", []int{0, 1}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := ValidatePartialEdgeColoring(g, tc.colors)
+			if (err == nil) != tc.ok {
+				t.Errorf("ValidatePartialEdgeColoring(%v) = %v, want ok=%v", tc.colors, err, tc.ok)
+			}
+		})
+	}
+}

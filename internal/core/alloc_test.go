@@ -101,3 +101,32 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 		t.Fatal("workload produced no deliveries; test exercises nothing")
 	}
 }
+
+// TestPrepareCGCastAllocs bounds the allocations of CGCAST's abstract
+// setup (stages 1–4) on a fixed 32-node unit-disk network. The edge
+// state, proposals, decisions and two-hop views live in flat slices
+// indexed by edge id and reused across phases, so the count no longer
+// scales with phases × exchanges × edges. The map-based driver this
+// replaced allocated 33,700 times here; the ceiling is a tenth of that.
+func TestPrepareCGCastAllocs(t *testing.T) {
+	const ceiling = 3370
+	g, err := graph.UnitDisk(32, 0.35, rng.New(101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(32, 6, 2, rng.New(102))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, kmax := a.OverlapRange(g)
+	p := Params{N: 32, C: 6, K: k, KMax: kmax, Delta: g.MaxDegree()}
+	nw := &radio.Network{Graph: g, Assign: a}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := PrepareCGCast(nw, SessionConfig{Params: p, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > ceiling {
+		t.Errorf("PrepareCGCast allocates %.0f times, want <= %d", avg, ceiling)
+	}
+}

@@ -53,7 +53,7 @@ func (b *SeekBank) ObserveRange(_ int64, lo, hi int, deliveries []radio.Delivery
 	nodes := b.nodes
 	for u := lo; u < hi; u++ {
 		d := deliveries[u]
-		nodes[u].observeOutcome(d.From >= 0, d.From, d.Data)
+		nodes[u].observeOutcome(d.From >= 0, d.From)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"crn/internal/coloring"
 	"crn/internal/graph"
@@ -109,49 +108,6 @@ type BroadcastResult struct {
 	Radio radio.Stats
 }
 
-// edgeKey identifies an undirected edge by its endpoints, U < V.
-type edgeKey struct {
-	U, V radio.NodeID
-}
-
-func mkEdgeKey(a, b radio.NodeID) edgeKey {
-	if a > b {
-		a, b = b, a
-	}
-	return edgeKey{U: a, V: b}
-}
-
-// other returns the endpoint of e that is not u.
-func (e edgeKey) other(u radio.NodeID) radio.NodeID {
-	if e.U == u {
-		return e.V
-	}
-	return e.U
-}
-
-// firstHeardPayload is the stage-2 frame body.
-type firstHeardPayload struct {
-	FirstHeard map[radio.NodeID]int64
-}
-
-// colorEntry carries one virtual node's proposal or decision.
-type colorEntry struct {
-	Edge  edgeKey
-	Color int
-}
-
-// colorBundle is one simulator's coloring-state snapshot for a step.
-type colorBundle struct {
-	From    radio.NodeID
-	Entries []colorEntry
-}
-
-// exchangePayload is the frame body of coloring exchange epochs: the
-// sender's own bundle plus any bundles it is relaying.
-type exchangePayload struct {
-	Bundles []colorBundle
-}
-
 // RunCGCast executes one CGCAST broadcast over the given network:
 // the full setup pipeline (stages 1–4) followed by one dissemination.
 // To amortize the setup over many broadcasts, use PrepareCGCast and
@@ -211,12 +167,12 @@ type SessionConfig struct {
 // any sources, each costing only the O~(D·Δ) dissemination schedule —
 // this is where CGCAST's one-time setup amortizes.
 type BroadcastSession struct {
-	nw         *radio.Network
-	p          Params
-	mode       BroadcastMode
-	n          int
-	edges      []map[edgeKey]*edgeState
-	dropped    map[edgeKey]bool
+	nw *radio.Network
+	p  Params
+	n  int
+	// colors[e] is the final color of edge e (a position in
+	// nw.Graph.Edges()), or coloring.NoColor if the edge was dropped.
+	colors     []int
 	setupSlots int64
 	setupRadio radio.Stats
 	phases     int
@@ -270,9 +226,8 @@ func (s *BroadcastSession) ColoringPhases() int { return s.phases }
 // endpoints.
 func (s *BroadcastSession) EdgesColored() int {
 	colored := 0
-	for _, e := range s.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		if st, ok := s.edges[e.U][key]; ok && st.color != coloring.NoColor {
+	for _, c := range s.colors {
+		if c != coloring.NoColor {
 			colored++
 		}
 	}
@@ -295,6 +250,14 @@ type DissemResult struct {
 	Radio radio.Stats
 }
 
+// cgcastDriver runs stages 1–4 over flat edge state laid out on the
+// graph's sorted (CSR) adjacency. Edge ids are positions in
+// g.Edges(); a slot is one endpoint's view of an incident edge, and
+// node u's slots off[u]..off[u+1]-1 follow its ascending neighbor
+// list. That order is ascending (U,V)-key order of u's incident edges
+// — (v,u) for the neighbors v < u, then (u,v) for v > u — so walking
+// the slots reproduces the canonical edge order that fixes Propose's
+// draw order.
 type cgcastDriver struct {
 	ctx    context.Context
 	nw     *radio.Network
@@ -307,23 +270,35 @@ type cgcastDriver struct {
 	// charged per exchange in both modes.
 	exchangeSlots int64
 
-	// Per-node edge state established after stages 1–2.
-	edges   []map[edgeKey]*edgeState // indexed by node
-	dropped map[edgeKey]bool
+	edges    []graph.Edge // edge id -> endpoints, U < V (nw.Graph.Edges())
+	off      []int32      // node -> first slot; off[n] is the slot count
+	slotEdge []int32      // slot -> edge id
+	// localCh[slot] is that endpoint's local label of the edge's
+	// dedicated channel, or -1 where the endpoint did not establish it.
+	localCh []int32
+	// live[e]: edge e is established at both endpoints (set by stages
+	// 1–2; the coloring runs on live edges only).
+	live []bool
+	// sims[e] is edge e's virtual line-graph node, simulated by its
+	// smaller endpoint edges[e].U.
+	sims []coloring.NodeState
+	// entry[e] is this coloring step's proposal or decision of edge e,
+	// or coloring.NoColor.
+	entry []int
+	// colors[e] is the final announced color, or coloring.NoColor.
+	colors []int
+
+	// nbrs[u] is g.Neighbors(u): who hears u in an abstract exchange.
+	nbrs [][]int32
+	// mark/epoch stamp one node's two-hop view at a time: w is in the
+	// current view iff mark[w] == epoch.
+	mark    []uint32
+	epoch   uint32
+	scratch []int
 
 	setupSlots int64
 	setupRadio radio.Stats // engine counters of full-mode exchanges
 	stage      int         // monotone counter used for RNG stream separation
-}
-
-// edgeState is one endpoint's view of an incident edge.
-type edgeState struct {
-	// localCh is this endpoint's local label of the dedicated channel.
-	localCh int32
-	// color is the final edge color, or coloring.NoColor.
-	color int
-	// sim is the coloring state if this endpoint simulates the edge.
-	sim *coloring.NodeState
 }
 
 func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
@@ -334,6 +309,7 @@ func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
 	}
 	d.exchangeSlots = probe.TotalSlots()
 
+	d.buildEdgeState()
 	if err := d.establishEdges(); err != nil {
 		return nil, err
 	}
@@ -344,40 +320,88 @@ func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
 	if err := d.announceColors(); err != nil {
 		return nil, err
 	}
-	s := &BroadcastSession{
+	return &BroadcastSession{
 		nw:         d.nw,
 		p:          d.p,
-		mode:       d.mode,
 		n:          d.n,
-		edges:      d.edges,
-		dropped:    d.dropped,
+		colors:     d.colors,
 		setupSlots: d.setupSlots,
 		setupRadio: d.setupRadio,
 		phases:     phases,
-	}
-	s.buildSchedules()
-	return s, nil
+		schedules:  d.schedules(),
+	}, nil
 }
 
-// buildSchedules derives each node's color -> dedicated-channel map
-// from the final (post-drop) edge states. The session's whole point is
-// many disseminations per setup, so this is computed once, not per
-// message.
-func (s *BroadcastSession) buildSchedules() {
-	numColors := 2 * s.p.Delta
-	s.schedules = make([][]int32, s.n)
-	for u := 0; u < s.n; u++ {
-		schedule := make([]int32, numColors)
-		for i := range schedule {
-			schedule[i] = -1
+// buildEdgeState lays the per-slot and per-edge arrays over the graph's
+// sorted adjacency. Edge ids are handed out walking each node's upper
+// neighbors (v > u) in order, which is the sorted g.Edges() order; the
+// lower half of every list is filled by a per-node cursor, since node
+// v's neighbors u < v arrive in ascending u.
+func (d *cgcastDriver) buildEdgeState() {
+	g := d.nw.Graph
+	// The engine finalizes its graph on construction; abstract setup
+	// runs none, so sort the adjacency here (idempotent).
+	g.Finalize()
+	d.edges = g.Edges()
+	n, m := d.n, g.M()
+	d.off = make([]int32, n+1)
+	d.nbrs = make([][]int32, n)
+	for u := 0; u < n; u++ {
+		d.nbrs[u] = g.Neighbors(u)
+		d.off[u+1] = d.off[u] + int32(len(d.nbrs[u]))
+	}
+	d.slotEdge = make([]int32, 2*m)
+	d.localCh = make([]int32, 2*m)
+	for s := range d.localCh {
+		d.localCh[s] = -1
+	}
+	cursor := make([]int32, n)
+	copy(cursor, d.off[:n])
+	e := int32(0)
+	for u := 0; u < n; u++ {
+		for i, v := range d.nbrs[u] {
+			if int(v) < u {
+				continue
+			}
+			d.slotEdge[d.off[u]+int32(i)] = e
+			d.slotEdge[cursor[v]] = e
+			cursor[v]++
+			e++
 		}
-		for _, key := range sortedEdgeKeys(s.edges[u]) {
-			if st := s.edges[u][key]; st.color >= 0 && st.color < numColors {
-				schedule[st.color] = st.localCh
+	}
+	d.live = make([]bool, m)
+	d.sims = coloring.NewNodeStates(m, 2*d.p.Delta)
+	d.entry = make([]int, m)
+	d.colors = make([]int, m)
+	for e := range d.entry {
+		d.entry[e] = coloring.NoColor
+		d.colors[e] = coloring.NoColor
+	}
+	d.mark = make([]uint32, n)
+}
+
+// schedules derives each node's color -> dedicated-channel map from
+// the final (post-drop) edge colors. The session's whole point is
+// many disseminations per setup, so this is computed once, not per
+// message. Slots run in sorted edge order, so when two of a node's
+// edges share a color the last one wins.
+func (d *cgcastDriver) schedules() [][]int32 {
+	numColors := 2 * d.p.Delta
+	flat := make([]int32, d.n*numColors)
+	for i := range flat {
+		flat[i] = -1
+	}
+	out := make([][]int32, d.n)
+	for u := 0; u < d.n; u++ {
+		schedule := flat[u*numColors : (u+1)*numColors : (u+1)*numColors]
+		for s := d.off[u]; s < d.off[u+1]; s++ {
+			if c := d.colors[d.slotEdge[s]]; c >= 0 && c < numColors {
+				schedule[c] = d.localCh[s]
 			}
 		}
-		s.schedules[u] = schedule
+		out[u] = schedule
 	}
+	return out
 }
 
 // nodeRand returns a fresh deterministic stream for (stage, node).
@@ -391,31 +415,21 @@ func (d *cgcastDriver) nextStage() { d.stage++ }
 // ----- Stages 1 & 2: discovery and dedicated-channel fixing -----
 
 func (d *cgcastDriver) establishEdges() error {
-	d.edges = make([]map[edgeKey]*edgeState, d.n)
-	for u := range d.edges {
-		d.edges[u] = make(map[edgeKey]*edgeState)
-	}
-	d.dropped = make(map[edgeKey]bool)
-
 	if d.mode == ExchangeAbstract {
 		// Oracle: adjacency from ground truth; the dedicated channel is
 		// the lowest-numbered shared global channel. Charge two CSEEK
 		// executions (stages 1 and 2).
-		for _, e := range d.nw.Graph.Edges() {
-			u, v := int(e.U), int(e.V)
-			shared := d.nw.Assign.SharedChannels(u, v)
-			if len(shared) == 0 {
-				d.dropped[mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))] = true
-				continue
+		for u := 0; u < d.n; u++ {
+			for i, v := range d.nbrs[u] {
+				if g, ok := d.nw.Assign.FirstShared(u, int(v)); ok {
+					d.localCh[d.off[u]+int32(i)] = d.nw.Assign.Local(u, g)
+				}
 			}
-			g := shared[0]
-			key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-			d.edges[u][key] = &edgeState{localCh: d.nw.Assign.Local(u, g), color: coloring.NoColor}
-			d.edges[v][key] = &edgeState{localCh: d.nw.Assign.Local(v, g), color: coloring.NoColor}
 		}
 		d.setupSlots += 2 * d.exchangeSlots
 		d.nextStage()
 		d.nextStage()
+		d.markLive()
 		return nil
 	}
 
@@ -437,18 +451,15 @@ func (d *cgcastDriver) establishEdges() error {
 	}
 	d.nextStage()
 
-	// Stage 2: CSEEK carrying the first-heard maps.
+	// Stage 2: CSEEK again; v's frames carry v's stage-1 first-heard
+	// log, which the driver reads from stage1[v] wherever a frame from
+	// v reached u.
 	stage2 := make([]*CSeek, d.n)
 	for u := 0; u < d.n; u++ {
 		s, err := NewCSeek(d.p, Env{ID: radio.NodeID(u), C: d.p.C, Rand: d.nodeRand(u)})
 		if err != nil {
 			return err
 		}
-		fh := make(map[radio.NodeID]int64, stage1[u].DiscoveredCount())
-		for _, v := range stage1[u].Discovered() {
-			fh[v] = stage1[u].Observation(v).Slot
-		}
-		s.SetPayload(firstHeardPayload{FirstHeard: fh})
 		stage2[u] = s
 		protos[u] = s
 	}
@@ -459,264 +470,194 @@ func (d *cgcastDriver) establishEdges() error {
 	d.nextStage()
 
 	// Fix dedicated channels: u establishes (u,v) iff it heard v in
-	// stage 1 and received v's first-heard map naming u in stage 2.
+	// stage 1 and, in stage 2, received v's first-heard log naming u.
 	for u := 0; u < d.n; u++ {
 		uid := radio.NodeID(u)
-		for _, v := range stage1[u].Discovered() {
-			tUV := stage1[u].Observation(v).Slot
-			obs2 := stage2[u].Observation(v)
-			if obs2 == nil {
+		for i, v := range d.nbrs[u] {
+			vid := radio.NodeID(v)
+			obsUV := stage1[u].Observation(vid)
+			if obsUV == nil || stage2[u].Observation(vid) == nil {
 				continue
 			}
-			fh, ok := obs2.Payload.(firstHeardPayload)
-			if !ok {
+			obsVU := stage1[v].Observation(uid)
+			if obsVU == nil {
 				continue
 			}
-			tVU, ok := fh.FirstHeard[uid]
-			if !ok {
-				continue
+			tMin := obsUV.Slot
+			if obsVU.Slot < tMin {
+				tMin = obsVU.Slot
 			}
-			tMin := tUV
-			if tVU < tMin {
-				tMin = tVU
+			if ch, ok := stage1[u].ChannelAt(tMin); ok {
+				d.localCh[d.off[u]+int32(i)] = ch
 			}
-			ch, ok := stage1[u].ChannelAt(tMin)
-			if !ok {
-				continue
-			}
-			d.edges[u][mkEdgeKey(uid, v)] = &edgeState{localCh: ch, color: coloring.NoColor}
 		}
 	}
-
-	// Account edges established on one side only (or neither).
-	for _, e := range d.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		_, atU := d.edges[e.U][key]
-		_, atV := d.edges[e.V][key]
-		if !atU || !atV {
-			d.dropped[key] = true
-			delete(d.edges[e.U], key)
-			delete(d.edges[e.V], key)
-		}
-	}
+	d.markLive()
 	return nil
+}
+
+// markLive keeps the edges established at both endpoints; an edge
+// established on one side only (or neither) is dropped.
+func (d *cgcastDriver) markLive() {
+	ends := make([]uint8, len(d.live))
+	for s, ch := range d.localCh {
+		if ch >= 0 {
+			ends[d.slotEdge[s]]++
+		}
+	}
+	for e, k := range ends {
+		d.live[e] = k == 2
+	}
 }
 
 // ----- Stage 3: line-graph coloring over exchange epochs -----
 
 func (d *cgcastDriver) colorEdges(phases int) error {
-	// Simulators: the smaller endpoint owns the virtual node.
-	for u := 0; u < d.n; u++ {
-		for key, st := range d.edges[u] {
-			if key.U == radio.NodeID(u) {
-				st.sim = coloring.NewNodeState(2 * d.p.Delta)
-			}
-		}
-	}
-
-	// Iterate incident edges in sorted order: Propose draws from the
-	// node's per-stage stream, so map-iteration order would make the
-	// realized coloring differ between same-seed runs. The edge sets
-	// are fixed for the whole coloring (drops happen later, in
-	// announceColors), so sort once per node.
-	keysByNode := make([][]edgeKey, d.n)
-	for u := 0; u < d.n; u++ {
-		keysByNode[u] = sortedEdgeKeys(d.edges[u])
-	}
-
 	for phase := 0; phase < phases; phase++ {
 		if err := d.ctx.Err(); err != nil {
 			return err
 		}
-		// Step one: propose and exchange proposals two hops out.
-		proposals := make([]map[edgeKey]int, d.n)
+		// Step one: propose and exchange proposals two hops out. Each
+		// simulator walks its edges in sorted order: Propose draws from
+		// the node's per-stage stream, so the order fixes the coloring.
+		// Propose returns NoColor without a draw once a virtual node has
+		// decided.
 		for u := 0; u < d.n; u++ {
 			r := d.nodeRand(u)
-			proposals[u] = make(map[edgeKey]int)
-			for _, key := range keysByNode[u] {
-				st := d.edges[u][key]
-				if st.sim != nil && st.sim.Active() {
-					if p := st.sim.Propose(r); p != coloring.NoColor {
-						proposals[u][key] = p
-					}
+			for s := d.upperSlot(u); s < d.off[u+1]; s++ {
+				if e := d.slotEdge[s]; d.live[e] {
+					d.entry[e] = d.sims[e].Propose(r)
 				}
 			}
 		}
 		d.nextStage()
-		views, err := d.exchangeTwoHop(d.bundles(proposals))
+		heardA, heardB, err := d.exchangeTwoHop()
 		if err != nil {
 			return err
 		}
-		// Resolve conflicts against every adjacent proposal seen.
-		decisions := make([]map[edgeKey]int, d.n)
+		// Resolve conflicts against every adjacent proposal in view,
+		// then keep only the proposals that became decisions.
 		for u := 0; u < d.n; u++ {
-			decisions[u] = make(map[edgeKey]int)
-			for _, key := range keysByNode[u] {
-				st := d.edges[u][key]
-				if st.sim == nil || !st.sim.Active() {
-					continue
+			d.forSimulated(u, heardA, heardB, func(e int32, sim *coloring.NodeState) {
+				if d.entry[e] != coloring.NoColor {
+					sim.ResolveConflicts(d.adjacentEntries(u, e))
 				}
-				if _, proposed := proposals[u][key]; !proposed {
-					st.sim.ResolveConflicts(nil)
-					continue
-				}
-				conflicts := adjacentColors(key, views[u], proposals[u])
-				if st.sim.ResolveConflicts(conflicts) {
-					st.color = st.sim.Color()
-					decisions[u][key] = st.color
-				}
+			})
+		}
+		for e, c := range d.entry {
+			if c != coloring.NoColor && d.sims[e].Active() {
+				d.entry[e] = coloring.NoColor
 			}
 		}
 		// Step two: exchange decisions, strike colors from plates.
-		views, err = d.exchangeTwoHop(d.bundles(decisions))
+		heardA, heardB, err = d.exchangeTwoHop()
 		if err != nil {
 			return err
 		}
 		for u := 0; u < d.n; u++ {
-			for key, st := range d.edges[u] {
-				if st.sim == nil || !st.sim.Active() {
-					continue
-				}
-				st.sim.ObserveDecisions(adjacentColors(key, views[u], decisions[u]))
-			}
+			d.forSimulated(u, heardA, heardB, func(e int32, sim *coloring.NodeState) {
+				sim.ObserveDecisions(d.adjacentEntries(u, e))
+			})
 		}
 	}
 	return nil
 }
 
-// sortedEdgeKeys returns a node's incident edge keys in canonical
-// order, for deterministic iteration over the edge-state map.
-func sortedEdgeKeys(edges map[edgeKey]*edgeState) []edgeKey {
-	keys := make([]edgeKey, 0, len(edges))
-	for key := range edges {
-		keys = append(keys, key)
+// upperSlot returns u's first slot whose neighbor is above u: the
+// edges u simulates are exactly its slots from there to off[u+1].
+func (d *cgcastDriver) upperSlot(u int) int32 {
+	s := d.off[u]
+	for s < d.off[u+1] && int(d.nbrs[u][s-d.off[u]]) < u {
+		s++
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].U != keys[j].U {
-			return keys[i].U < keys[j].U
-		}
-		return keys[i].V < keys[j].V
-	})
-	return keys
+	return s
 }
 
-// bundles converts per-node entry maps into per-node colorBundles.
-func (d *cgcastDriver) bundles(entries []map[edgeKey]int) []colorBundle {
-	out := make([]colorBundle, d.n)
-	for u := 0; u < d.n; u++ {
-		b := colorBundle{From: radio.NodeID(u)}
-		keys := make([]edgeKey, 0, len(entries[u]))
-		for key := range entries[u] {
-			keys = append(keys, key)
-		}
-		// Deterministic ordering keeps runs reproducible.
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].U != keys[j].U {
-				return keys[i].U < keys[j].U
-			}
-			return keys[i].V < keys[j].V
-		})
-		for _, key := range keys {
-			b.Entries = append(b.Entries, colorEntry{Edge: key, Color: entries[u][key]})
-		}
-		out[u] = b
+// forSimulated stamps u's two-hop view and calls fn for every still
+// active virtual node u simulates, in sorted edge order.
+func (d *cgcastDriver) forSimulated(u int, heardA, heardB [][]int32, fn func(e int32, sim *coloring.NodeState)) {
+	first := d.upperSlot(u)
+	if first == d.off[u+1] {
+		return
 	}
+	d.stampView(u, heardA, heardB)
+	for s := first; s < d.off[u+1]; s++ {
+		e := d.slotEdge[s]
+		if sim := &d.sims[e]; d.live[e] && sim.Active() {
+			fn(e, sim)
+		}
+	}
+}
+
+// stampView marks u's two-hop view after an exchange pair: the senders
+// u heard in the first exchange, those it heard in the relay exchange,
+// and everyone those relays had heard first. A view is the set of
+// simulators whose entries reached u.
+func (d *cgcastDriver) stampView(u int, heardA, heardB [][]int32) {
+	d.epoch++
+	for _, w := range heardA[u] {
+		d.mark[w] = d.epoch
+	}
+	for _, v := range heardB[u] {
+		d.mark[v] = d.epoch
+		for _, w := range heardA[v] {
+			d.mark[w] = d.epoch
+		}
+	}
+}
+
+// adjacentEntries collects the entries of e's line-graph neighbors
+// (the other edges at either endpoint) that simulator u can see: its
+// own, and those whose simulator is in u's stamped view. The slice is
+// scratch, valid until the next call.
+func (d *cgcastDriver) adjacentEntries(u int, e int32) []int {
+	out := d.scratch[:0]
+	ends := d.edges[e]
+	for _, end := range [2]int32{ends.U, ends.V} {
+		for s := d.off[end]; s < d.off[end+1]; s++ {
+			f := d.slotEdge[s]
+			c := d.entry[f]
+			if f == e || c == coloring.NoColor {
+				continue
+			}
+			if sim := d.edges[f].U; int(sim) == u || d.mark[sim] == d.epoch {
+				out = append(out, c)
+			}
+		}
+	}
+	d.scratch = out
 	return out
 }
 
-// adjacentColors collects colors attached to edges adjacent to key
-// (sharing an endpoint), from both the node's own entries and every
-// bundle it received.
-func adjacentColors(key edgeKey, received map[radio.NodeID]colorBundle, own map[edgeKey]int) []int {
-	var out []int
-	adjacent := func(e edgeKey) bool {
-		if e == key {
-			return false
-		}
-		return e.U == key.U || e.U == key.V || e.V == key.U || e.V == key.V
+// exchangeTwoHop runs the two one-hop exchanges that carry every
+// simulator's entries two hops out (the second relays what the first
+// delivered) and returns who heard whom in each. Cost: two CSEEK
+// executions.
+func (d *cgcastDriver) exchangeTwoHop() (heardA, heardB [][]int32, err error) {
+	if heardA, err = d.exchange(); err != nil {
+		return nil, nil, err
 	}
-	for e, c := range own {
-		if adjacent(e) {
-			out = append(out, c)
-		}
+	if heardB, err = d.exchange(); err != nil {
+		return nil, nil, err
 	}
-	for _, b := range received {
-		for _, entry := range b.Entries {
-			if adjacent(entry.Edge) {
-				out = append(out, entry.Color)
-			}
-		}
-	}
-	return out
+	return heardA, heardB, nil
 }
 
-// exchangeTwoHop delivers every node's bundle to all nodes within two
-// hops, via two one-hop exchanges (the second relays the first), and
-// returns each node's merged view. Cost: two CSEEK executions.
-func (d *cgcastDriver) exchangeTwoHop(own []colorBundle) ([]map[radio.NodeID]colorBundle, error) {
-	payloadsA := make([]any, d.n)
-	for u := 0; u < d.n; u++ {
-		payloadsA[u] = exchangePayload{Bundles: []colorBundle{own[u]}}
-	}
-	recvA, err := d.exchange(payloadsA)
-	if err != nil {
-		return nil, err
-	}
-	payloadsB := make([]any, d.n)
-	for u := 0; u < d.n; u++ {
-		relay := exchangePayload{Bundles: []colorBundle{own[u]}}
-		for _, data := range recvA[u] {
-			if ep, ok := data.(exchangePayload); ok {
-				relay.Bundles = append(relay.Bundles, ep.Bundles...)
-			}
-		}
-		payloadsB[u] = relay
-	}
-	recvB, err := d.exchange(payloadsB)
-	if err != nil {
-		return nil, err
-	}
-
-	views := make([]map[radio.NodeID]colorBundle, d.n)
-	for u := 0; u < d.n; u++ {
-		view := make(map[radio.NodeID]colorBundle)
-		for _, recv := range []map[radio.NodeID]any{recvA[u], recvB[u]} {
-			for _, data := range recv {
-				ep, ok := data.(exchangePayload)
-				if !ok {
-					continue
-				}
-				for _, b := range ep.Bundles {
-					if b.From != radio.NodeID(u) {
-						view[b.From] = b
-					}
-				}
-			}
-		}
-		views[u] = view
-	}
-	return views, nil
-}
-
-// exchange performs one one-hop all-pairs exchange: every node's
-// payload reaches every neighbor. In full mode this is a CSEEK
-// execution; in abstract mode an oracle at identical slot cost.
-func (d *cgcastDriver) exchange(payloads []any) ([]map[radio.NodeID]any, error) {
+// exchange performs one one-hop all-pairs exchange and returns, for
+// each node, the senders it heard. In full mode this is a CSEEK
+// execution and the heard sets are what each node discovered; in
+// abstract mode an oracle at identical slot cost delivers every
+// neighbor. Frame contents never change a radio outcome, so the
+// entries a frame would carry are read from the driver's flat state
+// wherever the frame arrived.
+func (d *cgcastDriver) exchange() ([][]int32, error) {
 	defer d.nextStage()
 	if err := d.ctx.Err(); err != nil {
 		return nil, err
 	}
 	if d.mode == ExchangeAbstract {
-		out := make([]map[radio.NodeID]any, d.n)
-		for u := 0; u < d.n; u++ {
-			out[u] = make(map[radio.NodeID]any)
-		}
-		for _, e := range d.nw.Graph.Edges() {
-			out[e.U][radio.NodeID(e.V)] = payloads[e.V]
-			out[e.V][radio.NodeID(e.U)] = payloads[e.U]
-		}
 		d.setupSlots += d.exchangeSlots
-		return out, nil
+		return d.nbrs, nil
 	}
 
 	seeks := make([]*CSeek, d.n)
@@ -726,7 +667,6 @@ func (d *cgcastDriver) exchange(payloads []any) ([]map[radio.NodeID]any, error) 
 		if err != nil {
 			return nil, err
 		}
-		s.SetPayload(payloads[u])
 		seeks[u] = s
 		protos[u] = s
 	}
@@ -734,14 +674,13 @@ func (d *cgcastDriver) exchange(payloads []any) ([]map[radio.NodeID]any, error) 
 	if err := d.runEngine(protos); err != nil {
 		return nil, err
 	}
-	out := make([]map[radio.NodeID]any, d.n)
+	heard := make([][]int32, d.n)
 	for u := 0; u < d.n; u++ {
-		out[u] = make(map[radio.NodeID]any)
 		for _, v := range seeks[u].Discovered() {
-			out[u][v] = seeks[u].Observation(v).Payload
+			heard[u] = append(heard[u], int32(v))
 		}
 	}
-	return out, nil
+	return heard, nil
 }
 
 // runEngine executes one full-schedule protocol set and charges its
@@ -769,74 +708,34 @@ func (d *cgcastDriver) runEngine(protos []radio.Protocol) error {
 
 // ----- Stage 4: color announcement -----
 
+// announceColors runs one exchange in which every simulator announces
+// its decided colors. An edge keeps its color iff its simulator decided
+// and the other endpoint heard the announcement; every other edge is
+// dropped from the dissemination schedule.
 func (d *cgcastDriver) announceColors() error {
-	announcements := make([]map[edgeKey]int, d.n)
-	for u := 0; u < d.n; u++ {
-		announcements[u] = make(map[edgeKey]int)
-		for key, st := range d.edges[u] {
-			if st.sim != nil && st.sim.Color() != coloring.NoColor {
-				announcements[u][key] = st.sim.Color()
-			}
-		}
-	}
 	d.nextStage()
-	recv, err := d.exchange(anySlice(d.bundles(announcements)))
+	heard, err := d.exchange()
 	if err != nil {
 		return err
 	}
-	for u := 0; u < d.n; u++ {
-		uid := radio.NodeID(u)
-		for key, st := range d.edges[u] {
-			if st.sim != nil {
-				st.color = st.sim.Color()
-				continue
-			}
-			// Non-simulator endpoint: look for the announcement from the
-			// simulator (the other endpoint).
-			simID := key.other(uid)
-			data, ok := recv[u][simID]
-			if !ok {
-				continue
-			}
-			ep, ok := data.(exchangePayload)
-			if !ok {
-				continue
-			}
-			for _, b := range ep.Bundles {
-				if b.From != simID {
-					continue
-				}
-				for _, entry := range b.Entries {
-					if entry.Edge == key {
-						st.color = entry.Color
-					}
-				}
-			}
+	for v := 0; v < d.n; v++ {
+		d.epoch++
+		for _, w := range heard[v] {
+			d.mark[w] = d.epoch
 		}
-	}
-	// Drop edges that remain uncolored at either endpoint.
-	for _, e := range d.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		stU, okU := d.edges[e.U][key]
-		stV, okV := d.edges[e.V][key]
-		if !okU || !okV {
-			continue // already dropped
-		}
-		if stU.color == coloring.NoColor || stV.color == coloring.NoColor {
-			d.dropped[key] = true
-			delete(d.edges[e.U], key)
-			delete(d.edges[e.V], key)
+		// v's slots below upperSlot(v) are the edges it does not
+		// simulate: their simulator is the neighbor u < v.
+		for i, u := range d.nbrs[v] {
+			if int(u) > v {
+				break
+			}
+			e := d.slotEdge[d.off[v]+int32(i)]
+			if c := d.sims[e].Color(); d.live[e] && c != coloring.NoColor && d.mark[u] == d.epoch {
+				d.colors[e] = c
+			}
 		}
 	}
 	return nil
-}
-
-func anySlice(bundles []colorBundle) []any {
-	out := make([]any, len(bundles))
-	for i, b := range bundles {
-		out[i] = exchangePayload{Bundles: []colorBundle{b}}
-	}
-	return out
 }
 
 // ----- Stage 5: dissemination -----
@@ -923,36 +822,9 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 }
 
 func (s *BroadcastSession) fillColoringStats(res *BroadcastResult) {
-	colored := make(map[graph.Edge]int)
-	for _, e := range s.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		stU, okU := s.edges[e.U][key]
-		if okU && stU.color != coloring.NoColor {
-			colored[e] = stU.color
-		}
-	}
-	res.EdgesColored = len(colored)
-	res.EdgesDropped = s.nw.Graph.M() - len(colored)
-	res.ColoringValid = validPartialEdgeColoring(s.nw.Graph, colored)
-}
-
-// validPartialEdgeColoring checks properness on the colored subgraph.
-func validPartialEdgeColoring(g *graph.Graph, colors map[graph.Edge]int) bool {
-	type slot struct {
-		node  int32
-		color int
-	}
-	seen := make(map[slot]bool)
-	for e, c := range colors {
-		for _, end := range [2]int32{e.U, e.V} {
-			key := slot{node: end, color: c}
-			if seen[key] {
-				return false
-			}
-			seen[key] = true
-		}
-	}
-	return true
+	res.EdgesColored = s.EdgesColored()
+	res.EdgesDropped = s.nw.Graph.M() - res.EdgesColored
+	res.ColoringValid = coloring.ValidatePartialEdgeColoring(s.nw.Graph, s.colors) == nil
 }
 
 // dissemProto is the stage-5 per-node protocol: D phases × 2Δ steps ×

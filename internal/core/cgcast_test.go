@@ -305,3 +305,39 @@ func TestDissemProtoStepLatching(t *testing.T) {
 		t.Error("informed node never attempted broadcast in its step")
 	}
 }
+
+// TestCGCastEdgeSlots checks the driver's CSR layout: every slot of
+// node u names the edge between u and the matching neighbor, and every
+// edge owns exactly two slots, one at each endpoint.
+func TestCGCastEdgeSlots(t *testing.T) {
+	g, err := graph.GNP(24, 0.3, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(24, 3, 2, rng.New(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, p, _ := buildBroadcastNet(t, g, a)
+	d := &cgcastDriver{nw: nw, p: p, n: g.N()}
+	d.buildEdgeState()
+	seen := make([]int, g.M())
+	for u := 0; u < g.N(); u++ {
+		for i, v := range g.Neighbors(u) {
+			e := d.slotEdge[d.off[u]+int32(i)]
+			lo, hi := int32(u), v
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if got := d.edges[e]; got.U != lo || got.V != hi {
+				t.Fatalf("node %d slot %d: edge %d is (%d,%d), want (%d,%d)", u, i, e, got.U, got.V, lo, hi)
+			}
+			seen[e]++
+		}
+	}
+	for e, k := range seen {
+		if k != 2 {
+			t.Errorf("edge %d owns %d slots, want 2", e, k)
+		}
+	}
+}

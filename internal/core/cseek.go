@@ -27,27 +27,21 @@ import (
 // one Θ((c²/k̂)·lg n) steps and part two Θ(((kmax/k̂)·Δ_k̂ + Δ + c)·lg n)
 // steps, solving k̂-neighbor-discovery (Theorem 6).
 //
-// The same machine also doubles as CGCAST's message-exchange primitive:
-// with a Payload attached, every pair of neighbors exchanges the
-// payload during one execution (Section 5.1 observes that a neighbor
-// discovery run is exactly a pairwise exchange).
+// The same machine also doubles as CGCAST's message-exchange primitive
+// (Section 5.1 observes that a neighbor discovery run is exactly a
+// pairwise exchange): data a node attaches to its frames reaches
+// exactly the neighbors that discover it, so CGCAST reads who heard
+// whom from Discovered.
 
 // SeekMessage is the frame CSEEK broadcasts: the sender's identity
-// travels as radio.Message.From; Payload is nil during plain discovery
-// and carries protocol data when CSEEK is used as an exchange
-// primitive by CGCAST.
-type SeekMessage struct {
-	Payload any
-}
+// travels as radio.Message.From, and the frame carries nothing else.
+type SeekMessage struct{}
 
 // SeekObservation records the first time an identity was heard.
 type SeekObservation struct {
 	// Slot is the engine slot (relative to this CSEEK run's start) in
 	// which the identity was first heard.
 	Slot int64
-	// Payload is the payload attached to the most recently heard
-	// message from this sender.
-	Payload any
 }
 
 // CSeek is the CSEEK/CKSEEK protocol state machine for one node.
@@ -55,14 +49,6 @@ type CSeek struct {
 	params Params
 	env    Env
 	sched  seekSchedule
-
-	// Payload, when non-nil, is attached to every broadcast frame (the
-	// exchange-primitive mode).
-	payload any
-	// frame is the pre-boxed SeekMessage carrying payload: boxing the
-	// struct into Action.Data once here instead of per Act keeps the
-	// engine's steady state allocation-free.
-	frame any
 
 	// recordChannels, when set, logs the local channel used in every
 	// slot; CGCAST needs the log to fix dedicated channels.
@@ -167,7 +153,6 @@ func newSeek(p Params, env Env, p1Steps, p2Steps int) (*CSeek, error) {
 		params:   p,
 		env:      env,
 		sched:    sched,
-		frame:    SeekMessage{},
 		counts:   make([]int64, p.C),
 		observed: make(map[radio.NodeID]*SeekObservation, p.Delta),
 		counter:  newCountListener(sched.count),
@@ -178,13 +163,6 @@ func newSeek(p Params, env Env, p1Steps, p2Steps int) (*CSeek, error) {
 	}
 	s.beginStep()
 	return s, nil
-}
-
-// SetPayload attaches a payload broadcast with every frame (exchange-
-// primitive mode). Must be called before the run starts.
-func (s *CSeek) SetPayload(data any) {
-	s.payload = data
-	s.frame = SeekMessage{Payload: data}
 }
 
 // RecordChannels enables the per-slot channel log needed by CGCAST's
@@ -260,7 +238,7 @@ func (s *CSeek) Act(_ int64) radio.Action {
 			a = radio.Action{Kind: radio.Listen, Ch: s.ch}
 		} else {
 			if s.env.Rand.Bernoulli(s.sched.count.broadcastProb(s.p1Round)) {
-				a = radio.Action{Kind: radio.Broadcast, Ch: s.ch, Data: s.frame}
+				a = radio.Action{Kind: radio.Broadcast, Ch: s.ch, Data: SeekMessage{}}
 			} else {
 				// Stay tuned to the step's channel while silent so the
 				// channel log stays meaningful.
@@ -271,7 +249,7 @@ func (s *CSeek) Act(_ int64) radio.Action {
 		if s.isListener {
 			a = radio.Action{Kind: radio.Listen, Ch: s.ch}
 		} else if s.p2Broadcast[s.stepSlot] {
-			a = radio.Action{Kind: radio.Broadcast, Ch: s.ch, Data: s.frame}
+			a = radio.Action{Kind: radio.Broadcast, Ch: s.ch, Data: SeekMessage{}}
 		} else {
 			a = radio.Action{Kind: radio.Idle, Ch: s.ch}
 		}
@@ -287,22 +265,22 @@ func (s *CSeek) Act(_ int64) radio.Action {
 // Observe implements radio.Protocol.
 func (s *CSeek) Observe(_ int64, msg *radio.Message) {
 	if msg == nil {
-		s.observeOutcome(false, 0, nil)
+		s.observeOutcome(false, 0)
 		return
 	}
-	s.observeOutcome(true, msg.From, msg.Data)
+	s.observeOutcome(true, msg.From)
 }
 
 // observeOutcome is Observe with the delivery already unpacked: the
 // SeekBank's range dispatch feeds outcomes here directly, so both
 // dispatch modes run the identical state machine (byte-identity by
 // construction) and the range path never materializes a Message.
-func (s *CSeek) observeOutcome(heard bool, from radio.NodeID, data any) {
+func (s *CSeek) observeOutcome(heard bool, from radio.NodeID) {
 	switch s.stepKind {
 	case partOne:
 		if s.isListener {
 			s.counter.observeOutcome(heard, from)
-			s.note(heard, from, data)
+			s.note(heard, from)
 		}
 		s.stepSlot++
 		s.p1SlotInRnd++
@@ -320,7 +298,7 @@ func (s *CSeek) observeOutcome(heard bool, from radio.NodeID, data any) {
 		}
 	case partTwo:
 		if s.isListener {
-			s.note(heard, from, data)
+			s.note(heard, from)
 		}
 		s.stepSlot++
 		if s.stepSlot == s.sched.p2SlotsStep {
@@ -362,19 +340,13 @@ func (s *CSeek) stepsDone(k stepKind) bool {
 	return true
 }
 
-func (s *CSeek) note(heard bool, from radio.NodeID, data any) {
+func (s *CSeek) note(heard bool, from radio.NodeID) {
 	if !heard {
 		return
 	}
-	var payload any
-	if sm, ok := data.(SeekMessage); ok {
-		payload = sm.Payload
+	if _, ok := s.observed[from]; !ok {
+		s.observed[from] = &SeekObservation{Slot: s.slot}
 	}
-	if obs, ok := s.observed[from]; ok {
-		obs.Payload = payload
-		return
-	}
-	s.observed[from] = &SeekObservation{Slot: s.slot, Payload: payload}
 }
 
 // Done implements radio.Protocol.

@@ -72,7 +72,12 @@ func (bs *BroadcastSession) BroadcastCtx(ctx context.Context, source int, messag
 // AllInformedAtSlot stays -1 unless the single phase happened to reach
 // the whole network (it tracks the global predicate).
 func (bs *BroadcastSession) LocalBroadcast(source int, message any, seed uint64) (*SessionBroadcastResult, error) {
-	res, err := bs.session.Disseminate(1, radio.NodeID(source), message, seed)
+	return bs.LocalBroadcastCtx(context.Background(), source, message, seed)
+}
+
+// LocalBroadcastCtx is LocalBroadcast with cooperative cancellation.
+func (bs *BroadcastSession) LocalBroadcastCtx(ctx context.Context, source int, message any, seed uint64) (*SessionBroadcastResult, error) {
+	res, err := bs.session.DisseminateCtx(ctx, 1, radio.NodeID(source), message, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,10 @@
 package crn
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+)
 
 // TestBroadcastSessionReuse is the amortization property: one setup
 // serves many broadcasts, from different sources, each only paying the
@@ -71,6 +75,27 @@ func TestLocalBroadcast(t *testing.T) {
 	}
 	if res.ScheduleSlots <= 0 {
 		t.Errorf("ScheduleSlots = %d", res.ScheduleSlots)
+	}
+}
+
+// TestLocalBroadcastCancellation: LocalBroadcastCtx honors its
+// context like BroadcastCtx does.
+func TestLocalBroadcastCancellation(t *testing.T) {
+	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := s.NewBroadcastSession(65)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := bs.LocalBroadcastCtx(ctx, 0, "hi", 66); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled LocalBroadcastCtx returned %v, want context.Canceled", err)
+	}
+	if _, err := bs.LocalBroadcastCtx(context.Background(), 0, "hi", 66); err != nil {
+		t.Fatalf("LocalBroadcastCtx with a live context: %v", err)
 	}
 }
 
