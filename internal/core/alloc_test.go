@@ -4,30 +4,29 @@ import (
 	"testing"
 
 	"crn/internal/chanassign"
+	"crn/internal/dynamics"
 	"crn/internal/graph"
 	"crn/internal/radio"
 	"crn/internal/rng"
 )
 
 // TestCSeekEngineZeroAllocsSteadyState is the end-to-end allocation
-// regression for the hot path the ISSUE targets: a real CSEEK
-// discovery workload stepped by radio.Engine.Run must allocate nothing
-// per slot once warmed up — in part one (COUNT sampling) and in part
-// two (density-guided back-off) alike, on per-node and range dispatch
-// (the facade attaches a SeekBank, so the range path is the production
-// path). Warm-up covers the transient allocators: discovery records
-// (SeekObservation), map growth, and the part-two back-off buffer.
+// regression for CSEEK's hot path: a real discovery workload stepped by
+// radio.Engine.Run must allocate nothing per slot once warmed up — in
+// part one (COUNT sampling) and in part two (density-guided back-off)
+// alike, on per-node and range dispatch (the facade attaches a
+// SeekBank, so the range path is the production path), and under node
+// churn, where down nodes leave the cohort and step on their own
+// clocks as laggers. Warm-up covers the transient allocators: on
+// per-node dispatch each one-member bank grows its first-heard records
+// as it discovers (a merged bank pre-sizes them to Δ).
 func TestCSeekEngineZeroAllocsSteadyState(t *testing.T) {
-	for _, banked := range []bool{false, true} {
-		name := "per-node"
-		if banked {
-			name = "range"
-		}
-		t.Run(name, func(t *testing.T) { testCSeekZeroAllocs(t, banked) })
+	for _, mode := range []string{"per-node", "range", "churn"} {
+		t.Run(mode, func(t *testing.T) { testCSeekZeroAllocs(t, mode) })
 	}
 }
 
-func testCSeekZeroAllocs(t *testing.T, banked bool) {
+func testCSeekZeroAllocs(t *testing.T, mode string) {
 	// n/c/seed are chosen so every pair discovers well inside part one
 	// (asserted below); the stretched P2Steps multiplier lengthens part
 	// two enough to host its own measurement window.
@@ -52,10 +51,20 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 		seeks[u] = s
 		protos[u] = s
 	}
+	banked := mode != "per-node"
+	var bank *SeekBank
 	if banked {
-		NewSeekBank(seeks)
+		bank = NewSeekBank(seeks)
 	}
-	e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a}, protos)
+	nw := &radio.Network{Graph: g, Assign: a}
+	if mode == "churn" {
+		churn, err := dynamics.NewChurn(n, 0.002, 0.05, 33)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Topology = churn
+	}
+	e, err := radio.NewEngine(nw, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +79,16 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 
 	// Part-one steady state: warm up past the (seed-deterministic)
 	// last discovery; every node must have found all neighbors by
-	// then, so no discovery records allocate during measurement.
+	// then, so no discovery records are added during measurement.
 	target := p1 - 1600
 	e.Run(target)
 	for u, s := range seeks {
 		if s.DiscoveredCount() != n-1 {
 			t.Fatalf("node %d discovered %d/%d neighbors after warm-up", u, s.DiscoveredCount(), n-1)
 		}
+	}
+	if mode == "churn" && len(bank.laggers) == 0 {
+		t.Fatal("churn took no node down during warm-up; the lagger path is not exercised")
 	}
 	step := func() {
 		target += 100
@@ -86,8 +98,7 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 		t.Errorf("part-one steady state allocates %.2f/100 slots, want 0", avg)
 	}
 
-	// Part-two steady state: cross into part two (the first back-off
-	// steps allocate the reusable decision buffer), then measure.
+	// Part-two steady state: cross into part two, then measure.
 	target = p1 + 60
 	e.Run(target)
 	stepP2 := func() {
@@ -99,6 +110,9 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 	}
 	if e.Stats().Deliveries == 0 {
 		t.Fatal("workload produced no deliveries; test exercises nothing")
+	}
+	if mode == "churn" && e.Stats().DownSlots == 0 {
+		t.Fatal("churn workload has no down slots")
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 import "crn/internal/radio"
 
-// This file implements the radio.RangeProtocol ABI for the hot core
-// protocols: a "bank" fuses the per-node machines of one run so the
+// This file implements the radio.RangeProtocol ABI for the per-node
+// core protocols: a "bank" fuses the per-node machines of one run so the
 // engine dispatches Act/Observe over whole node ranges with a single
 // call instead of two interface calls per node per slot. Each bank
 // loops over its nodes with direct (devirtualized) concrete calls into
@@ -11,75 +11,14 @@ import "crn/internal/radio"
 // the observe side feeds the protocols' unpacked observeOutcome
 // internals — so both dispatch modes run identical code on identical
 // state and per-node rng draw order is untouched: byte-identity holds
-// by construction, and the equivalence suites pin it.
-//
-// Banks satisfy the RangeProtocol concurrency contract (disjoint
-// ranges of one slot may be dispatched concurrently under
-// RunParallel): they hold no mutable bank-wide state, only the nodes
-// slice, and each loop iteration touches node u's state alone.
+// by construction, and the equivalence suites pin it. CSEEK's
+// SeekBank (seekbank.go) goes further and keeps its members' state in
+// flat bank-wide slices.
 //
 // Attachment is explicit and happens at construction sites
 // (prepareDiscovery, CGCAST's stages, RunFloodCtx, tests): the bank
 // back-pointer makes every member protocol report the bank via
 // RangeBank, which radio's detectRangeBank verifies per run.
-
-// SeekBank fuses the CSEEK/CKSEEK machines of one run for range
-// dispatch (discovery, and CGCAST's exchange stages).
-type SeekBank struct{ nodes []*CSeek }
-
-var _ radio.RangeProtocol = (*SeekBank)(nil)
-
-// NewSeekBank builds a bank over the per-node machines and attaches
-// itself to each of them.
-func NewSeekBank(nodes []*CSeek) *SeekBank {
-	b := &SeekBank{nodes: nodes}
-	for i, s := range nodes {
-		s.bank = b
-		s.bankIdx = i
-	}
-	return b
-}
-
-// ActRange implements radio.RangeProtocol.
-func (b *SeekBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
-	nodes := b.nodes
-	for u := lo; u < hi; u++ {
-		acts[u] = nodes[u].Act(slot)
-	}
-}
-
-// ObserveRange implements radio.RangeProtocol.
-func (b *SeekBank) ObserveRange(_ int64, lo, hi int, deliveries []radio.Delivery) {
-	nodes := b.nodes
-	for u := lo; u < hi; u++ {
-		d := deliveries[u]
-		nodes[u].observeOutcome(d.From >= 0, d.From)
-	}
-}
-
-// RangeBank implements radio.RangeNode.
-func (s *CSeek) RangeBank() (radio.RangeProtocol, int) {
-	if s.bank == nil {
-		return nil, 0
-	}
-	return s.bank, s.bankIdx
-}
-
-// BankDiscoverers attaches a SeekBank when every discoverer in ds is a
-// CSEEK/CKSEEK machine, reporting whether it did. Baselines (naive,
-// uniform) stay on per-node dispatch.
-func BankDiscoverers(ds []Discoverer) bool {
-	seeks := make([]*CSeek, len(ds))
-	for i, d := range ds {
-		s, ok := d.(*CSeek)
-		if !ok {
-			return false
-		}
-		seeks[i] = s
-	}
-	NewSeekBank(seeks)
-	return true
-}
 
 // dissemBank fuses one dissemination run's stage-5 protocols.
 type dissemBank struct{ nodes []*dissemProto }

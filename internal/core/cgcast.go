@@ -471,23 +471,27 @@ func (d *cgcastDriver) establishEdges() error {
 
 	// Fix dedicated channels: u establishes (u,v) iff it heard v in
 	// stage 1 and, in stage 2, received v's first-heard log naming u.
+	// The first meeting is found on the engine clock, which both
+	// endpoints share: under a topology feed their local clocks freeze
+	// while they are down and stop lining up. At that slot the hearer
+	// listened on the sender's channel, so both ends read the same
+	// global channel from their own logs.
 	for u := 0; u < d.n; u++ {
 		uid := radio.NodeID(u)
 		for i, v := range d.nbrs[u] {
 			vid := radio.NodeID(v)
-			obsUV := stage1[u].Observation(vid)
-			if obsUV == nil || stage2[u].Observation(vid) == nil {
+			tUV, ok := stage1[u].FirstHeardEngine(vid)
+			if !ok {
 				continue
 			}
-			obsVU := stage1[v].Observation(uid)
-			if obsVU == nil {
+			if _, ok := stage2[u].FirstHeard(vid); !ok {
 				continue
 			}
-			tMin := obsUV.Slot
-			if obsVU.Slot < tMin {
-				tMin = obsVU.Slot
+			tVU, ok := stage1[v].FirstHeardEngine(uid)
+			if !ok {
+				continue
 			}
-			if ch, ok := stage1[u].ChannelAt(tMin); ok {
+			if ch, ok := stage1[u].ChannelAtEngine(min(tUV, tVU)); ok {
 				d.localCh[d.off[u]+int32(i)] = ch
 			}
 		}

@@ -1,6 +1,9 @@
 package core
 
-import "crn/internal/radio"
+import (
+	"crn/internal/radio"
+	"crn/internal/rng"
+)
 
 // COUNT (Section 4.1, Appendix A): one listener and an unknown number
 // m ≤ Δ of broadcasters share a channel; the listener wants an estimate
@@ -23,10 +26,10 @@ type countSchedule struct {
 	rounds        int
 	slotsPerRound int
 	threshold     float64
-	// probs[r] is the per-slot broadcast probability of round r,
-	// precomputed so the per-slot hot path does a load instead of a
-	// float division.
-	probs []float64
+	// thresh[r] is round r's broadcast probability 1/2^r in the integer
+	// form of rng.BernoulliThreshold, precomputed so the per-slot hot
+	// path does a load and an integer compare instead of float work.
+	thresh []uint64
 }
 
 func (p Params) countSchedule() countSchedule {
@@ -36,15 +39,15 @@ func (p Params) countSchedule() countSchedule {
 	}
 	// Estimates go 1, 2, 4, … and must reach Δ: lgΔ+1 rounds.
 	rounds := p.LgDelta() + 1
-	probs := make([]float64, rounds)
-	for r := range probs {
-		probs[r] = 1 / float64(int64(1)<<uint(r))
+	thresh := make([]uint64, rounds)
+	for r := range thresh {
+		thresh[r] = rng.BernoulliThreshold(broadcastProb(r))
 	}
 	return countSchedule{
 		rounds:        rounds,
 		slotsPerRound: slots,
 		threshold:     p.Tuning.CountThreshold,
-		probs:         probs,
+		thresh:        thresh,
 	}
 }
 
@@ -56,13 +59,24 @@ func (s countSchedule) round(slot int) int { return slot / s.slotsPerRound }
 
 // broadcastProb returns the per-slot broadcast probability in round r:
 // 1/2^r (round 0 has estimate 1, probability 1).
-func (s countSchedule) broadcastProb(r int) float64 { return s.probs[r] }
+func broadcastProb(r int) float64 { return 1 / float64(int64(1)<<uint(r)) }
 
-// countListener accumulates the listener side of one COUNT execution.
-// It is embedded in CSEEK part-one steps and in the standalone
-// CountListen protocol. It tracks its own position in the schedule
-// with incremental counters (no per-slot division); callers must feed
-// it exactly one observe per slot from the start of an execution.
+// trigger applies the round-end rule to a listener that heard heardIn
+// messages in round r: it adopts 2^(r+2) — 2^(i+1) with i = r+1 the
+// 1-based round index — once the heard fraction exceeds the threshold.
+func (s countSchedule) trigger(heardIn, r int) (int64, bool) {
+	if float64(heardIn)/float64(s.slotsPerRound) > s.threshold {
+		return int64(1) << uint(r+2), true
+	}
+	return 0, false
+}
+
+// countListener accumulates the listener side of one COUNT execution
+// for the standalone CountListen protocol (CSEEK's part-one steps keep
+// the same counters in its SeekBank's flat state). It tracks its own
+// position in the schedule with incremental counters (no per-slot
+// division); callers must feed it exactly one observe per slot from
+// the start of an execution.
 type countListener struct {
 	sched       countSchedule
 	heardIn     int  // messages heard in the current round
@@ -119,12 +133,7 @@ func (l *countListener) observeOutcome(heard bool, from radio.NodeID) {
 	}
 	// Round boundary: apply the trigger rule.
 	if !l.triggered {
-		frac := float64(l.heardIn) / float64(l.sched.slotsPerRound)
-		if frac > l.sched.threshold {
-			l.triggered = true
-			// Estimate 2^(i+1) with i the 1-based round index round+1.
-			l.estimate = int64(1) << uint(l.round+2)
-		}
+		l.estimate, l.triggered = l.sched.trigger(l.heardIn, l.round)
 	}
 	l.heardIn = 0
 	l.slotInRound = 0
@@ -229,7 +238,7 @@ func NewCountBroadcast(p Params, env Env, ch int) (*CountBroadcast, error) {
 
 // Act implements radio.Protocol.
 func (c *CountBroadcast) Act(_ int64) radio.Action {
-	if c.env.Rand.Bernoulli(c.sched.broadcastProb(c.round)) {
+	if c.env.Rand.Below(c.sched.thresh[c.round]) {
 		return radio.Action{Kind: radio.Broadcast, Ch: c.ch}
 	}
 	return radio.Action{Kind: radio.Idle}

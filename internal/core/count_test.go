@@ -205,10 +205,10 @@ func TestCountScheduleShape(t *testing.T) {
 	if s.TotalSlots() != s.rounds*s.slotsPerRound {
 		t.Error("TotalSlots inconsistent")
 	}
-	if got := s.broadcastProb(0); got != 1 {
+	if got := broadcastProb(0); got != 1 {
 		t.Errorf("broadcastProb(0) = %v, want 1", got)
 	}
-	if got := s.broadcastProb(3); got != 0.125 {
+	if got := broadcastProb(3); got != 0.125 {
 		t.Errorf("broadcastProb(3) = %v, want 0.125", got)
 	}
 }

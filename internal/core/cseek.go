@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crn/internal/radio"
+	"crn/internal/rng"
 )
 
 // CSEEK (Section 4.2, Figure 1) solves neighbor discovery in
@@ -32,51 +33,24 @@ import (
 // pairwise exchange): data a node attaches to its frames reaches
 // exactly the neighbors that discover it, so CGCAST reads who heard
 // whom from Discovered.
+//
+// Every node's state lives in a SeekBank (seekbank.go); a *CSeek is a
+// view (bank, index) into one. NewCSeek builds a one-member bank and
+// NewSeekBank merges fresh members into one shared bank, so per-node
+// and range dispatch drive the same state machine.
 
 // SeekMessage is the frame CSEEK broadcasts: the sender's identity
 // travels as radio.Message.From, and the frame carries nothing else.
 type SeekMessage struct{}
 
-// SeekObservation records the first time an identity was heard.
-type SeekObservation struct {
-	// Slot is the engine slot (relative to this CSEEK run's start) in
-	// which the identity was first heard.
-	Slot int64
-}
-
-// CSeek is the CSEEK/CKSEEK protocol state machine for one node.
+// CSeek is the CSEEK/CKSEEK protocol for one node: a view into the
+// SeekBank that holds its state.
 type CSeek struct {
-	params Params
-	env    Env
-	sched  seekSchedule
-
-	// recordChannels, when set, logs the local channel used in every
-	// slot; CGCAST needs the log to fix dedicated channels.
-	recordChannels bool
-	channelLog     []int32
-
-	slot int64 // slots consumed so far (also the next Act's offset)
-
-	// Per-step state.
-	stepKind    stepKind
-	isListener  bool
-	ch          int // local channel for this step
-	stepSlot    int // slot offset within the current step
-	p1Round     int // COUNT round within a part-one step, incremental
-	p1SlotInRnd int // slot within that round
-	counter     countListener
-	p2Broadcast []bool // precomputed back-off decisions for a part-two step
-
-	// Accumulated results.
-	counts   []int64 // per-local-channel COUNT totals from part one
-	countSum int64
-	observed map[radio.NodeID]*SeekObservation
-
-	// bank/bankIdx back-reference the SeekBank this machine is a member
-	// of (range dispatch, see bank.go); nil means per-node dispatch.
-	bank    *SeekBank
-	bankIdx int
+	bank *SeekBank
+	idx  int
 }
+
+var _ radio.Protocol = (*CSeek)(nil)
 
 type stepKind uint8
 
@@ -93,10 +67,77 @@ type seekSchedule struct {
 	count       countSchedule
 	countTotal  int // count.TotalSlots(), cached for the per-slot path
 	p2SlotsStep int
+	// backoff[i] is the part-two back-off probability 2^i/2^(lgΔ) of a
+	// step's slot i, in rng.BernoulliThreshold form.
+	backoff []uint64
 }
 
-func (s seekSchedule) totalSlots() int64 {
-	return int64(s.p1Steps)*int64(s.count.TotalSlots()) + int64(s.p2Steps)*int64(s.p2SlotsStep)
+func (s *seekSchedule) p1Slots() int64 { return int64(s.p1Steps) * int64(s.countTotal) }
+
+func (s *seekSchedule) totalSlots() int64 {
+	return s.p1Slots() + int64(s.p2Steps)*int64(s.p2SlotsStep)
+}
+
+// stepOf returns the index of the step that contains local slot t.
+func (s *seekSchedule) stepOf(t int64) int {
+	if p1 := s.p1Slots(); t >= p1 {
+		return s.p1Steps + int((t-p1)/int64(s.p2SlotsStep))
+	}
+	return int(t / int64(s.countTotal))
+}
+
+// sameLayout reports whether two schedules step identically, so their
+// nodes can share one cohort cursor.
+func (s *seekSchedule) sameLayout(o *seekSchedule) bool {
+	return s.p1Steps == o.p1Steps && s.p2Steps == o.p2Steps &&
+		s.p2SlotsStep == o.p2SlotsStep && s.count.rounds == o.count.rounds &&
+		s.count.slotsPerRound == o.count.slotsPerRound && s.count.threshold == o.count.threshold
+}
+
+// seekCursor is a position in a seekSchedule. A bank's cohort shares
+// one; every lagger carries its own.
+type seekCursor struct {
+	kind        stepKind
+	step        int   // index of the current step (part one, then part two)
+	stepSlot    int   // slot offset within the step
+	round       int   // COUNT round within a part-one step
+	slotInRound int   // slot within that round
+	slot        int64 // slots consumed: the node's local clock
+}
+
+// advance moves the cursor past one slot, reporting whether the slot
+// closed a COUNT round and whether it closed the step. The caller
+// applies the round-end rule, then rolls the round (nextRound) and,
+// at a step end, the step (nextStep).
+func (c *seekCursor) advance(s *seekSchedule) (roundEnd, stepEnd bool) {
+	c.slot++
+	c.stepSlot++
+	switch c.kind {
+	case partOne:
+		c.slotInRound++
+		return c.slotInRound == s.count.slotsPerRound, c.stepSlot == s.countTotal
+	case partTwo:
+		return false, c.stepSlot == s.p2SlotsStep
+	}
+	return false, false
+}
+
+func (c *seekCursor) nextRound() {
+	c.round++
+	c.slotInRound = 0
+}
+
+// nextStep moves to the next step, switching part or finishing when
+// the current part's steps are used up.
+func (c *seekCursor) nextStep(s *seekSchedule) {
+	c.step++
+	c.stepSlot, c.round, c.slotInRound = 0, 0, 0
+	if c.kind == partOne && c.step == s.p1Steps {
+		c.kind = partTwo
+	}
+	if c.kind == partTwo && c.step == s.p1Steps+s.p2Steps {
+		c.kind = finished
+	}
 }
 
 // NewCSeek returns the CSEEK machine for one node (Theorem 4
@@ -140,246 +181,137 @@ func newSeek(p Params, env Env, p1Steps, p2Steps int) (*CSeek, error) {
 		return nil, fmt.Errorf("core: env needs a random source")
 	}
 	count := p.countSchedule()
+	lgDelta := p.LgDelta()
 	sched := seekSchedule{
 		p1Steps:     p1Steps,
 		p2Steps:     p2Steps,
 		count:       count,
 		countTotal:  count.TotalSlots(),
-		p2SlotsStep: p.LgDelta(),
+		p2SlotsStep: lgDelta,
+		backoff:     make([]uint64, lgDelta),
 	}
-	// The observed map tops out at the node's neighbor count; pre-size
-	// it to Δ so steady-state discovery never rehashes.
-	s := &CSeek{
-		params:   p,
-		env:      env,
-		sched:    sched,
-		counts:   make([]int64, p.C),
-		observed: make(map[radio.NodeID]*SeekObservation, p.Delta),
-		counter:  newCountListener(sched.count),
-		stepKind: partOne,
+	// Back-off: broadcast with probability 2^(i-1)/Δ in slot i, i.e.
+	// 2^i / 2^(lgΔ) in 0-based slot i.
+	denom := int64(1) << uint(lgDelta)
+	for i := range sched.backoff {
+		sched.backoff[i] = rng.BernoulliThreshold(float64(int64(1)<<uint(i)) / float64(denom))
 	}
-	if p1Steps == 0 {
-		s.stepKind = partTwo
-	}
-	s.beginStep()
-	return s, nil
+	return newSoloSeek(sched, p.C, p.Delta, env.Rand), nil
 }
 
-// RecordChannels enables the per-slot channel log needed by CGCAST's
+// RecordChannels enables the channel log needed by CGCAST's
 // dedicated-channel fixing. Must be called before the run starts.
-func (s *CSeek) RecordChannels() {
-	s.recordChannels = true
-	s.channelLog = make([]int32, 0, s.sched.totalSlots())
-}
+func (s *CSeek) RecordChannels() { s.bank.recordChannels(s.idx) }
 
 // TotalSlots returns the fixed length of this execution.
-func (s *CSeek) TotalSlots() int64 { return s.sched.totalSlots() }
+func (s *CSeek) TotalSlots() int64 { return s.bank.sched.totalSlots() }
 
 // MinDoneSlots implements radio.FixedSchedule: CSEEK's state machine
 // reaches `finished` exactly when its fixed schedule ends, never
 // earlier, so the engine may skip Done polls until then.
-func (s *CSeek) MinDoneSlots() int64 { return s.sched.totalSlots() }
+func (s *CSeek) MinDoneSlots() int64 { return s.bank.sched.totalSlots() }
 
 // PartOneSlots returns the slot count of part one (the density-
 // sampling part, O~((c²/k)·lg³n)).
-func (s *CSeek) PartOneSlots() int64 {
-	return int64(s.sched.p1Steps) * int64(s.sched.count.TotalSlots())
-}
+func (s *CSeek) PartOneSlots() int64 { return s.bank.sched.p1Slots() }
 
-// PartTwoSlots returns the slot count of part two (the density-guided
-// part, O~((kmax/k)·Δ·lg²n)).
+// PartTwoSlots returns the slot count of part two (the density-
+// guided part, O~((kmax/k)·Δ·lg²n)).
 func (s *CSeek) PartTwoSlots() int64 {
-	return int64(s.sched.p2Steps) * int64(s.sched.p2SlotsStep)
-}
-
-// beginStep rolls the per-step random choices.
-func (s *CSeek) beginStep() {
-	s.stepSlot = 0
-	switch s.stepKind {
-	case partOne:
-		s.ch = s.env.Rand.Intn(s.env.C)
-		s.isListener = s.env.Rand.Bool()
-		s.p1Round = 0
-		s.p1SlotInRnd = 0
-		s.counter.reset()
-	case partTwo:
-		s.isListener = s.env.Rand.Bool()
-		if s.isListener {
-			if s.countSum > 0 {
-				s.ch = s.env.Rand.WeightedChoice(s.counts)
-			} else {
-				// No density information (no counts triggered in part
-				// one): fall back to uniform.
-				s.ch = s.env.Rand.Intn(s.env.C)
-			}
-		} else {
-			s.ch = s.env.Rand.Intn(s.env.C)
-			// Back-off: broadcast with probability 2^(i-1)/Δ in slot i.
-			if cap(s.p2Broadcast) < s.sched.p2SlotsStep {
-				s.p2Broadcast = make([]bool, s.sched.p2SlotsStep)
-			}
-			s.p2Broadcast = s.p2Broadcast[:s.sched.p2SlotsStep]
-			denom := int64(1) << uint(s.sched.p2SlotsStep)
-			for i := range s.p2Broadcast {
-				// Slot i (0-based): probability 2^i / 2^(lgΔ).
-				p := float64(int64(1)<<uint(i)) / float64(denom)
-				s.p2Broadcast[i] = s.env.Rand.Bernoulli(p)
-			}
-		}
-	}
+	return int64(s.bank.sched.p2Steps) * int64(s.bank.sched.p2SlotsStep)
 }
 
 // Act implements radio.Protocol.
-func (s *CSeek) Act(_ int64) radio.Action {
-	var a radio.Action
-	switch s.stepKind {
-	case partOne:
-		if s.isListener {
-			a = radio.Action{Kind: radio.Listen, Ch: s.ch}
-		} else {
-			if s.env.Rand.Bernoulli(s.sched.count.broadcastProb(s.p1Round)) {
-				a = radio.Action{Kind: radio.Broadcast, Ch: s.ch, Data: SeekMessage{}}
-			} else {
-				// Stay tuned to the step's channel while silent so the
-				// channel log stays meaningful.
-				a = radio.Action{Kind: radio.Idle, Ch: s.ch}
-			}
-		}
-	case partTwo:
-		if s.isListener {
-			a = radio.Action{Kind: radio.Listen, Ch: s.ch}
-		} else if s.p2Broadcast[s.stepSlot] {
-			a = radio.Action{Kind: radio.Broadcast, Ch: s.ch, Data: SeekMessage{}}
-		} else {
-			a = radio.Action{Kind: radio.Idle, Ch: s.ch}
-		}
-	default:
-		a = radio.Action{Kind: radio.Idle}
-	}
-	if s.recordChannels {
-		s.channelLog = append(s.channelLog, int32(s.ch))
-	}
-	return a
-}
+func (s *CSeek) Act(slot int64) radio.Action { return s.bank.act(s.idx, slot) }
 
 // Observe implements radio.Protocol.
-func (s *CSeek) Observe(_ int64, msg *radio.Message) {
+func (s *CSeek) Observe(slot int64, msg *radio.Message) {
 	if msg == nil {
-		s.observeOutcome(false, 0)
+		s.bank.observe(s.idx, slot, false, 0)
 		return
 	}
-	s.observeOutcome(true, msg.From)
-}
-
-// observeOutcome is Observe with the delivery already unpacked: the
-// SeekBank's range dispatch feeds outcomes here directly, so both
-// dispatch modes run the identical state machine (byte-identity by
-// construction) and the range path never materializes a Message.
-func (s *CSeek) observeOutcome(heard bool, from radio.NodeID) {
-	switch s.stepKind {
-	case partOne:
-		if s.isListener {
-			s.counter.observeOutcome(heard, from)
-			s.note(heard, from)
-		}
-		s.stepSlot++
-		s.p1SlotInRnd++
-		if s.p1SlotInRnd == s.sched.count.slotsPerRound {
-			s.p1Round++
-			s.p1SlotInRnd = 0
-		}
-		if s.stepSlot == s.sched.countTotal {
-			if s.isListener {
-				c := s.counter.count()
-				s.counts[s.ch] += c
-				s.countSum += c
-			}
-			s.advanceStep()
-		}
-	case partTwo:
-		if s.isListener {
-			s.note(heard, from)
-		}
-		s.stepSlot++
-		if s.stepSlot == s.sched.p2SlotsStep {
-			s.advanceStep()
-		}
-	}
-	s.slot++
-}
-
-func (s *CSeek) advanceStep() {
-	switch s.stepKind {
-	case partOne:
-		if s.stepsDone(partOne) {
-			s.stepKind = partTwo
-			if s.sched.p2Steps == 0 {
-				s.stepKind = finished
-				return
-			}
-		}
-	case partTwo:
-		if s.stepsDone(partTwo) {
-			s.stepKind = finished
-			return
-		}
-	}
-	s.beginStep()
-}
-
-// stepsDone reports whether the slots consumed so far complete the
-// given part (called only at step boundaries).
-func (s *CSeek) stepsDone(k stepKind) bool {
-	p1Slots := int64(s.sched.p1Steps) * int64(s.sched.count.TotalSlots())
-	switch k {
-	case partOne:
-		return s.slot+1 >= p1Slots
-	case partTwo:
-		return s.slot+1 >= p1Slots+int64(s.sched.p2Steps)*int64(s.sched.p2SlotsStep)
-	}
-	return true
-}
-
-func (s *CSeek) note(heard bool, from radio.NodeID) {
-	if !heard {
-		return
-	}
-	if _, ok := s.observed[from]; !ok {
-		s.observed[from] = &SeekObservation{Slot: s.slot}
-	}
+	s.bank.observe(s.idx, slot, true, msg.From)
 }
 
 // Done implements radio.Protocol.
-func (s *CSeek) Done() bool { return s.stepKind == finished }
+func (s *CSeek) Done() bool {
+	s.bank.settle()
+	return s.bank.cursor(s.idx).kind == finished
+}
 
-// Discovered returns the identities heard so far. The caller owns the
-// returned slice.
+// Discovered returns the identities heard so far in ascending order.
+// The caller owns the returned slice.
 func (s *CSeek) Discovered() []radio.NodeID {
-	out := make([]radio.NodeID, 0, len(s.observed))
-	for id := range s.observed {
-		out = append(out, id)
+	heard := s.bank.nodes[s.idx].heard
+	out := make([]radio.NodeID, len(heard))
+	for i, r := range heard {
+		out[i] = r.id
 	}
 	return out
 }
 
-// Observation returns the record for one identity, or nil if it was
-// never heard.
-func (s *CSeek) Observation(id radio.NodeID) *SeekObservation {
-	return s.observed[id]
+// FirstHeard returns the slot of this node's local clock — slots it
+// has been stepped, relative to this run's start — in which it first
+// heard id. Under a topology feed the local clock freezes while the
+// node is down.
+func (s *CSeek) FirstHeard(id radio.NodeID) (slot int64, ok bool) {
+	if r := s.bank.nodes[s.idx].find(id); r != nil {
+		return r.local, true
+	}
+	return 0, false
+}
+
+// FirstHeardEngine is FirstHeard on the engine clock: the engine slot
+// in which id was first heard. Both clocks agree unless the node was
+// down at some point before the hearing.
+func (s *CSeek) FirstHeardEngine(id radio.NodeID) (slot int64, ok bool) {
+	if r := s.bank.nodes[s.idx].find(id); r != nil {
+		return r.engine, true
+	}
+	return 0, false
 }
 
 // DiscoveredCount returns the number of distinct identities heard.
-func (s *CSeek) DiscoveredCount() int { return len(s.observed) }
+func (s *CSeek) DiscoveredCount() int { return len(s.bank.nodes[s.idx].heard) }
 
 // ChannelAt returns the local channel the node was tuned to in the
-// given slot of this run; RecordChannels must have been enabled.
+// given slot of its local clock; RecordChannels must have been
+// enabled.
 func (s *CSeek) ChannelAt(slot int64) (int32, bool) {
-	if !s.recordChannels || slot < 0 || slot >= int64(len(s.channelLog)) {
+	b := s.bank
+	b.settle()
+	log := b.nodes[s.idx].chLog
+	if log == nil || slot < 0 || slot >= b.cursor(s.idx).slot {
 		return 0, false
 	}
-	return s.channelLog[slot], true
+	return log[b.sched.stepOf(slot)], true
+}
+
+// ChannelAtEngine is ChannelAt on the engine clock: the local channel
+// the node was tuned to in the given engine slot, or false when the
+// node was not stepped in it (down, not started or finished).
+func (s *CSeek) ChannelAtEngine(slot int64) (int32, bool) {
+	b := s.bank
+	b.settle()
+	nd := &b.nodes[s.idx]
+	marks := b.cohortMarks
+	if nd.lagging {
+		marks = nd.marks
+	}
+	local, ok := localAt(marks, slot, b.cursor(s.idx).slot)
+	if !ok {
+		return 0, false
+	}
+	return s.ChannelAt(local)
 }
 
 // Counts returns the per-local-channel density counts accumulated in
 // part one. The caller must not modify the slice.
-func (s *CSeek) Counts() []int64 { return s.counts }
+func (s *CSeek) Counts() []int64 {
+	b := s.bank
+	b.settle()
+	return b.countsOf(s.idx)
+}
+
+// RangeBank implements radio.RangeNode.
+func (s *CSeek) RangeBank() (radio.RangeProtocol, int) { return s.bank, s.idx }

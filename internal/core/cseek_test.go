@@ -198,15 +198,18 @@ func TestCSeekObservationSlot(t *testing.T) {
 	if st := e.Run(s0.TotalSlots() + 1); !st.Completed {
 		t.Fatal("did not complete")
 	}
-	obs := s0.Observation(1)
-	if obs == nil {
+	slot, ok := s0.FirstHeard(1)
+	if !ok {
 		t.Fatal("node 0 never heard node 1")
 	}
-	if obs.Slot < 0 || obs.Slot >= s0.TotalSlots() {
-		t.Errorf("first-heard slot %d outside run", obs.Slot)
+	if slot < 0 || slot >= s0.TotalSlots() {
+		t.Errorf("first-heard slot %d outside run", slot)
 	}
-	if s0.Observation(99) != nil {
-		t.Error("Observation for unknown id should be nil")
+	if engine, ok := s0.FirstHeardEngine(1); !ok || engine != slot {
+		t.Errorf("static run: engine first-heard slot %d (ok=%v), local %d", engine, ok, slot)
+	}
+	if _, ok := s0.FirstHeard(99); ok {
+		t.Error("FirstHeard for unknown id should report false")
 	}
 }
 
@@ -252,12 +255,12 @@ func TestCSeekChannelLog(t *testing.T) {
 
 	// Cross-check the meeting invariant: when 0 first heard 1, both
 	// were on the same global channel according to their own logs.
-	obs := s0.Observation(1)
-	if obs == nil {
+	first, ok := s0.FirstHeard(1)
+	if !ok {
 		t.Fatal("node 0 never heard node 1")
 	}
-	ch0, _ := s0.ChannelAt(obs.Slot)
-	ch1, _ := s1.ChannelAt(obs.Slot)
+	ch0, _ := s0.ChannelAt(first)
+	ch1, _ := s1.ChannelAt(first)
 	g0 := in.a.Global(0, int(ch0))
 	g1 := in.a.Global(1, int(ch1))
 	if g0 != g1 {

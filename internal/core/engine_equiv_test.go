@@ -14,12 +14,12 @@ import (
 
 // TestCrossEngineEquivalenceUnderJammers is the cross-engine
 // determinism lockdown for the spectrum subsystem: for every jammer
-// family, the sequential engine (Run) and the goroutine-parallel
-// engine (RunParallel at 1/2/4/8 workers) must produce identical
-// results on the same seed — identical Stats and identical per-node
-// protocol outcomes — table-driven across all four primitives' protocol
-// stacks (CSEEK, CKSEEK, CGCAST dissemination, flooding). Stateful
-// jammers (the reactive adversary) are re-instantiated per engine via
+// family, Engine.Run and a radio.BatchEngine replica (running beside a
+// decoy replica of the same stack) must produce identical results on
+// the same seed — identical Stats and identical per-node protocol
+// outcomes — table-driven across all four primitives' protocol stacks
+// (CSEEK, CKSEEK, CGCAST dissemination, flooding). Stateful jammers
+// (the reactive adversary) are re-instantiated per run via
 // spectrum.RunScoped, exactly as the facade does per run.
 func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 	const n, c, k, seed = 10, 4, 2, 5
@@ -159,38 +159,45 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 	for _, jc := range jammers {
 		for _, prim := range primitives {
 			t.Run(jc.name+"/"+prim.name, func(t *testing.T) {
-				run := func(workers int) (radio.Stats, string) {
+				network := func() *radio.Network {
 					j := jc.j
 					if rs, ok := j.(spectrum.RunScoped); ok {
 						j = rs.NewRun()
 					}
-					nw := &radio.Network{Graph: g, Assign: a, Jammer: j}
+					return &radio.Network{Graph: g, Assign: a, Jammer: j}
+				}
+				run := func(replica bool) (radio.Stats, string) {
+					nw := network()
 					st := prim.build(t, nw)
-					e, err := radio.NewEngine(nw, st.protos)
-					if err != nil {
-						t.Fatal(err)
-					}
 					budget := st.slots + 1
 					if budget > 30000 {
 						budget = 30000 // equivalence needs a prefix, not a full schedule
 					}
-					var stats radio.Stats
-					if workers == 0 {
-						stats = e.Run(budget)
-					} else {
-						stats = e.RunParallel(budget, workers)
+					if !replica {
+						e, err := radio.NewEngine(nw, st.protos)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return e.Run(budget), st.outcome()
 					}
-					return stats, st.outcome()
+					decoyNW := network()
+					decoy := prim.build(t, decoyNW)
+					be, err := radio.NewBatchEngine(g, a, []radio.Replica{
+						{Protocols: decoy.protos, Jammer: decoyNW.Jammer},
+						{Protocols: st.protos, Jammer: nw.Jammer},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return be.Run(budget)[1], st.outcome()
 				}
-				wantStats, wantOutcome := run(0)
-				for _, workers := range []int{1, 2, 4, 8} {
-					gotStats, gotOutcome := run(workers)
-					if gotStats != wantStats {
-						t.Errorf("workers=%d stats = %+v, want %+v", workers, gotStats, wantStats)
-					}
-					if gotOutcome != wantOutcome {
-						t.Errorf("workers=%d outcome diverged:\n got %s\nwant %s", workers, gotOutcome, wantOutcome)
-					}
+				wantStats, wantOutcome := run(false)
+				gotStats, gotOutcome := run(true)
+				if gotStats != wantStats {
+					t.Errorf("batch replica stats = %+v, want %+v", gotStats, wantStats)
+				}
+				if gotOutcome != wantOutcome {
+					t.Errorf("batch replica outcome diverged:\n got %s\nwant %s", gotOutcome, wantOutcome)
 				}
 			})
 		}

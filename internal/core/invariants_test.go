@@ -88,8 +88,8 @@ func TestCSeekCountsMatchSum(t *testing.T) {
 		for _, c := range s.Counts() {
 			sum += c
 		}
-		if sum != s.countSum {
-			t.Errorf("node %d: counts sum %d != countSum %d", u, sum, s.countSum)
+		if cs := s.bank.nodes[s.idx].countSum; sum != cs {
+			t.Errorf("node %d: counts sum %d != countSum %d", u, sum, cs)
 		}
 	}
 }

@@ -361,10 +361,11 @@ func TestComposeSemantics(t *testing.T) {
 	}
 }
 
-// TestModelsOnRealEngine drives every model through a real engine
-// pair (Run and RunParallel) and requires identical stats — the
-// engine-level equivalence guarantee holds for the shipped models,
-// not just scripted feeds.
+// TestModelsOnRealEngine drives every model through two real engine
+// paths — Engine.Run, and a BatchEngine replica beside a decoy replica
+// with its own feed instance — and requires identical stats: the
+// engine-level equivalence guarantee holds for the shipped models, not
+// just scripted feeds.
 func TestModelsOnRealEngine(t *testing.T) {
 	g, geom, err := graph.UnitDiskGeometry(18, 0.4, rng.New(21))
 	if err != nil {
@@ -397,33 +398,37 @@ func TestModelsOnRealEngine(t *testing.T) {
 	}
 	for _, fc := range feeds {
 		t.Run(fc.name, func(t *testing.T) {
-			run := func(workers int) radio.Stats {
-				feed := fc.feed
-				if rs, ok := feed.(RunScoped); ok {
-					feed = rs.NewRun()
+			feed := func() radio.TopologyFeed {
+				if rs, ok := fc.feed.(RunScoped); ok {
+					return rs.NewRun()
 				}
-				master := rng.New(31)
-				protos := make([]radio.Protocol, g.N())
-				for u := range protos {
-					protos[u] = &chatterProto{r: master.Split(uint64(u)), c: 3}
-				}
-				e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a, Topology: feed}, protos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if workers == 0 {
-					return e.Run(500)
-				}
-				return e.RunParallel(500, workers)
+				return fc.feed
 			}
-			want := run(0)
+			protos := func(seed uint64) []radio.Protocol {
+				master := rng.New(seed)
+				out := make([]radio.Protocol, g.N())
+				for u := range out {
+					out[u] = &chatterProto{r: master.Split(uint64(u)), c: 3}
+				}
+				return out
+			}
+			e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a, Topology: feed()}, protos(31))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e.Run(500)
 			if want.EdgeAdds+want.EdgeRemoves+want.DownSlots == 0 {
 				t.Fatalf("model applied no dynamics: %+v", want)
 			}
-			for _, workers := range []int{2, 8} {
-				if got := run(workers); got != want {
-					t.Errorf("workers=%d stats = %+v, want %+v", workers, got, want)
-				}
+			be, err := radio.NewBatchEngine(g, a, []radio.Replica{
+				{Protocols: protos(31), Topology: feed()},
+				{Protocols: protos(32), Topology: feed()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := be.Run(500)[0]; got != want {
+				t.Errorf("batch replica stats = %+v, want %+v", got, want)
 			}
 		})
 	}

@@ -10,8 +10,8 @@ import (
 
 // This file enforces the engine's performance contract: once a run is
 // warmed up, stepping slots allocates nothing — deliveries ride the
-// reused Message scratch, the channel index lives in pre-sized engine
-// scratch, and the worker pool's barriers are allocation-free.
+// reused Message scratch and the channel index lives in pre-sized
+// engine scratch.
 
 // hotProto is a zero-allocation protocol for alloc regression tests:
 // its broadcast frame is pre-boxed, and it records only counters.
@@ -101,28 +101,5 @@ func TestEngineRunZeroAllocsPerSlot(t *testing.T) {
 				t.Fatalf("workload did not exercise delivery+collision paths: %+v", st)
 			}
 		})
-	}
-}
-
-// TestEngineRunParallelAllocsAmortized asserts the pool engine's
-// allocations are per-run (pool construction), not per-slot: running
-// 10× the slots must not add more than a trivial number of
-// allocations.
-func TestEngineRunParallelAllocsAmortized(t *testing.T) {
-	const n, c, workers = 24, 3, 4
-	nw := allocNetwork(t, n, c, nil)
-	measure := func(slots int64) float64 {
-		return testing.AllocsPerRun(3, func() {
-			e := newHotEngine(t, nw, n, c)
-			if st := e.RunParallel(slots, workers); st.Slots != slots {
-				t.Fatalf("ran %d slots, want %d", st.Slots, slots)
-			}
-		})
-	}
-	short := measure(100)
-	long := measure(1100)
-	if extra := long - short; extra > 50 {
-		t.Errorf("1000 extra pool slots allocated %.0f times (short=%.0f, long=%.0f), want ~0",
-			extra, short, long)
 	}
 }

@@ -218,3 +218,31 @@ func TestBatchEngineSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state batch slots allocate %.1f times per run, want 0", allocs)
 	}
 }
+
+// runAsReplica runs protos as the middle replica of a three-replica
+// BatchEngine, between two decoy replicas of randomProto chatter on
+// the same base graph, and returns the middle replica's stats. nw
+// supplies the graph, assignment, jammer, trace and topology feed of
+// the protocols under test. Replica isolation makes this a second,
+// independently built execution path to hold Engine.Run against.
+func runAsReplica(t *testing.T, nw *Network, protos []Protocol, maxSlots int64) Stats {
+	t.Helper()
+	n := nw.Graph.N()
+	decoy := func(seed uint64) []Protocol {
+		master := rng.New(seed)
+		out := make([]Protocol, n)
+		for u := range out {
+			out[u] = &randomProto{r: master.Split(uint64(u)), c: nw.Assign.C, slots: int(maxSlots)}
+		}
+		return out
+	}
+	be, err := NewBatchEngine(nw.Graph, nw.Assign, []Replica{
+		{Protocols: decoy(501)},
+		{Protocols: protos, Jammer: nw.Jammer, Trace: nw.Trace, Topology: nw.Topology},
+		{Protocols: decoy(502)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return be.Run(maxSlots)[1]
+}

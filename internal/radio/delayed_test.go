@@ -126,19 +126,17 @@ func (p *delayedChatter) Done() bool { return false }
 
 // TestDelayedParallelMatchesSequential: a network of staggered-start
 // protocols (one Delayed wrapper per node, starts spread across the
-// run so wake-ups land in every worker's node range) produces
-// identical stats and per-node delivery histories under Run and the
-// persistent worker pool at 2/4/8 workers. Delayed was previously
-// only exercised on the serial engine; the wrapper's started/Done
-// interplay and the pre-start idles all cross the pool's barriers
-// here.
+// run) produces identical stats and per-node delivery histories under
+// Run and as a BatchEngine replica running beside decoy replicas; the
+// wrapper's started/Done interplay and the pre-start idles cross the
+// batch engine's per-replica freeze logic here.
 func TestDelayedParallelMatchesSequential(t *testing.T) {
 	const n, c, slots = 24, 3, 600
 	g, err := graph.GNP(n, 0.3, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (Stats, string) {
+	run := func(replica bool) (Stats, string) {
 		nw := newTestNetwork(t, g, c, 99)
 		master := rng.New(8)
 		inner := make([]*delayedChatter, n)
@@ -148,15 +146,15 @@ func TestDelayedParallelMatchesSequential(t *testing.T) {
 			// Stagger starts 0, 7, 14, ... so some nodes wake mid-run.
 			protos[u] = &Delayed{Start: int64(u * 7), Inner: inner[u]}
 		}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var st Stats
-		if workers == 0 {
-			st = e.Run(slots)
+		if replica {
+			st = runAsReplica(t, nw, protos, slots)
 		} else {
-			st = e.RunParallel(slots, workers)
+			e, err := NewEngine(nw, protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = e.Run(slots)
 		}
 		fp := ""
 		for u, p := range inner {
@@ -164,7 +162,7 @@ func TestDelayedParallelMatchesSequential(t *testing.T) {
 		}
 		return st, fp
 	}
-	wantStats, wantFP := run(0)
+	wantStats, wantFP := run(false)
 	if wantStats.Deliveries == 0 {
 		t.Fatal("staggered workload delivered nothing — degenerate test")
 	}
@@ -173,19 +171,17 @@ func TestDelayedParallelMatchesSequential(t *testing.T) {
 	if wantStats.Idles == 0 {
 		t.Fatal("no idle slots despite staggered starts")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		gotStats, gotFP := run(workers)
-		if gotStats != wantStats {
-			t.Errorf("workers=%d stats = %+v, want %+v", workers, gotStats, wantStats)
-		}
-		if gotFP != wantFP {
-			t.Errorf("workers=%d delivery histories diverged from sequential", workers)
-		}
+	gotStats, gotFP := run(true)
+	if gotStats != wantStats {
+		t.Errorf("batch replica stats = %+v, want %+v", gotStats, wantStats)
+	}
+	if gotFP != wantFP {
+		t.Errorf("batch replica delivery histories diverged from Run")
 	}
 }
 
 // TestDelayedFiniteParallelCompletion: Delayed wrappers around finite
-// scripts complete under the pool exactly as they do sequentially,
+// scripts complete as a BatchEngine replica exactly as they do on Run,
 // including the started/Done interplay (a never-started Delayed must
 // not report done).
 func TestDelayedFiniteParallelCompletion(t *testing.T) {
@@ -206,31 +202,26 @@ func TestDelayedFiniteParallelCompletion(t *testing.T) {
 		}
 		return protos
 	}
-	budget := int64(3*(n-1) + 4 + 1)
-	for _, workers := range []int{0, 2, 4} {
+	run := func(replica bool, budget int64) Stats {
 		nw := newTestNetwork(t, g, 1, 5)
+		if replica {
+			return runAsReplica(t, nw, mk(), budget)
+		}
 		e, err := NewEngine(nw, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Stats
-		if workers == 0 {
-			st = e.Run(budget)
-		} else {
-			st = e.RunParallel(budget, workers)
-		}
-		if !st.Completed {
-			t.Errorf("workers=%d: staggered finite run did not complete in %d slots: %+v", workers, budget, st)
-		}
+		return e.Run(budget)
 	}
-	// Under-budget runs must not report completion: the last starter
-	// has not finished its script yet.
-	nw := newTestNetwork(t, g, 1, 5)
-	e, err := NewEngine(nw, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.RunParallel(int64(3*(n-1)+1), 4); st.Completed {
-		t.Error("run completed before the last delayed starter could finish")
+	budget := int64(3*(n-1) + 4 + 1)
+	for _, replica := range []bool{false, true} {
+		if st := run(replica, budget); !st.Completed {
+			t.Errorf("replica=%v: staggered finite run did not complete in %d slots: %+v", replica, budget, st)
+		}
+		// Under-budget runs must not report completion: the last
+		// starter has not finished its script yet.
+		if st := run(replica, int64(3*(n-1)+1)); st.Completed {
+			t.Errorf("replica=%v: run completed before the last delayed starter could finish", replica)
+		}
 	}
 }

@@ -10,12 +10,11 @@ import (
 )
 
 // TestQuickEngineEquivalence fuzzes random networks, assignments and
-// protocol behaviors and requires the sequential and parallel engines
-// to agree exactly — the load-bearing guarantee behind using
-// RunParallel for sweeps.
+// protocol behaviors and requires Engine.Run and a BatchEngine replica
+// to agree exactly — the guarantee the batched sweep path rests on.
 func TestQuickEngineEquivalence(t *testing.T) {
-	f := func(seed uint64, workersRaw uint8) bool {
-		run := func(parallel bool, workers int) ([][]NodeID, Stats) {
+	f := func(seed uint64) bool {
+		run := func(replica bool) ([][]NodeID, Stats) {
 			r := rng.New(seed)
 			g, err := graph.GNP(12, 0.35, r)
 			if err != nil {
@@ -34,14 +33,14 @@ func TestQuickEngineEquivalence(t *testing.T) {
 				rps[i] = rp
 				protos[i] = rp
 			}
-			e, err := NewEngine(nw, protos)
-			if err != nil {
-				return nil, Stats{}
-			}
 			var st Stats
-			if parallel {
-				st = e.RunParallel(1000, workers)
+			if replica {
+				st = runAsReplica(t, nw, protos, 1000)
 			} else {
+				e, err := NewEngine(nw, protos)
+				if err != nil {
+					return nil, Stats{}
+				}
 				st = e.Run(1000)
 			}
 			out := make([][]NodeID, 12)
@@ -50,9 +49,8 @@ func TestQuickEngineEquivalence(t *testing.T) {
 			}
 			return out, st
 		}
-		workers := int(workersRaw%6) + 2
-		hs, ss := run(false, 0)
-		hp, sp := run(true, workers)
+		hs, ss := run(false)
+		hp, sp := run(true)
 		if hs == nil && hp == nil {
 			return true // disconnected sample, skipped
 		}

@@ -71,8 +71,11 @@ func TestJammingOnlyAffectsItsChannel(t *testing.T) {
 	}
 }
 
+// TestJammingParallelEngineAgrees: under a jammer, the workload run as
+// a BatchEngine replica beside decoy replicas reports the same stats
+// as Engine.Run.
 func TestJammingParallelEngineAgrees(t *testing.T) {
-	run := func(parallel bool) Stats {
+	run := func(replica bool) Stats {
 		g := graph.Star(8)
 		nw := newTestNetwork(t, g, 3, 33)
 		nw.Jammer = &stubJammer{jam: map[[2]int64]bool{
@@ -90,18 +93,18 @@ func TestJammingParallelEngineAgrees(t *testing.T) {
 			}
 			protos[i] = &scriptProto{script: script}
 		}
+		if replica {
+			return runAsReplica(t, nw, protos, 100)
+		}
 		e, err := NewEngine(nw, protos)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parallel {
-			return e.RunParallel(100, 4)
-		}
 		return e.Run(100)
 	}
 	seq := run(false)
-	par := run(true)
-	if seq != par {
-		t.Errorf("stats differ under jamming: seq %+v vs par %+v", seq, par)
+	rep := run(true)
+	if seq != rep {
+		t.Errorf("stats differ under jamming: Run %+v vs batch replica %+v", seq, rep)
 	}
 }

@@ -10,38 +10,35 @@
 // detection. A broadcasting node "receives" only its own message.
 //
 // Protocols are written against the Protocol interface and stepped by
-// an Engine. Two engines are provided with identical semantics: a
-// sequential engine (Run) and a goroutine-parallel engine
-// (RunParallel) that fans the per-node work out to a persistent pool
-// of workers; results are bit-identical because randomness lives in
-// per-node streams and both engines share one slot-resolution core.
+// an Engine, one slot at a time on the calling goroutine; BatchEngine
+// fuses several independent runs into one slot loop. Parallelism
+// lives a level up: sweeps spread whole runs across workers, and
+// every run is deterministic because randomness lives in per-node
+// streams.
 //
 // # Slot anatomy
 //
-// Both engines execute a slot in three phases:
+// The engine executes a slot in three phases:
 //
 //  1. Collect: every live protocol's Act is called and its chosen
-//     global channel resolved (parallel across nodes under
-//     RunParallel).
+//     global channel resolved.
 //  2. Index: broadcasters are bucketed by global channel into a
 //     compact per-slot index — a count per channel plus an intrusive
-//     per-channel broadcaster list (sequential; O(broadcasters)).
+//     per-channel broadcaster list (O(broadcasters)).
 //  3. Resolve/observe: every live protocol's Observe is called with
-//     the delivery outcome (parallel across nodes under RunParallel).
-//     A listener on a channel with zero broadcasters resolves to
-//     silence in O(1); with one broadcaster, via a single O(1)/O(log Δ)
-//     adjacency probe; only genuinely contended channels walk the
-//     shorter of the channel's broadcaster list and the listener's
-//     neighbor list.
+//     the delivery outcome. A listener on a channel with zero
+//     broadcasters resolves to silence in O(1); with one broadcaster,
+//     via a single O(1)/O(log Δ) adjacency probe; only genuinely
+//     contended channels walk the shorter of the channel's broadcaster
+//     list and the listener's neighbor list.
 //
 // After phase 3 the engine feeds reactive jammers (ActivitySink),
-// refreshes completion flags, and advances the slot counter in its
-// sequential section.
+// refreshes completion flags, and advances the slot counter.
 //
 // Topology may be time-varying: a TopologyFeed installed on the
-// Network is stepped once per slot before phase 1, also from the
-// sequential section, mutating the engine's private graph.Dynamic
-// view (node churn, link flapping, mobility). Down nodes neither
+// Network is stepped once per slot before phase 1, mutating the
+// engine's private graph.Dynamic view (node churn, link flapping,
+// mobility). Down nodes neither
 // transmit nor observe. Static runs never construct the view and
 // resolve against the shared graph exactly as before.
 package radio
@@ -49,7 +46,6 @@ package radio
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"crn/internal/bitset"
 	"crn/internal/chanassign"
@@ -160,8 +156,7 @@ type Stats struct {
 
 // Accumulate adds o's slot and counter fields into s — the helper
 // multi-engine pipelines (CGCAST's setup stages plus dissemination)
-// and the worker pool's stats merge use to combine Stats. Completed is
-// left untouched.
+// use to combine Stats. Completed is left untouched.
 func (s *Stats) Accumulate(o Stats) {
 	s.Slots += o.Slots
 	s.Broadcasts += o.Broadcasts
@@ -186,8 +181,7 @@ type TraceFunc func(slot int64, listener NodeID, globalCh int32, msg *Message)
 // Jammer reports primary-user occupancy per (slot, global channel).
 // A frame broadcast on an occupied channel is lost and a listener
 // tuned there hears only silence — secondary users cannot use spectrum
-// a primary user holds. Implementations must be deterministic and safe
-// for concurrent readers (RunParallel queries from worker goroutines).
+// a primary user holds. Implementations must be deterministic.
 // internal/spectrum provides standard models.
 type Jammer interface {
 	Jammed(slot int64, ch int32) bool
@@ -195,8 +189,7 @@ type Jammer interface {
 
 // ActivitySink is optionally implemented by Jammers that react to
 // secondary-user activity (adversarial models). After every slot
-// resolves, the engine calls ObserveActivity exactly once from its
-// sequential section with the number of broadcasts per global channel
+// resolves, the engine calls ObserveActivity exactly once with the number of broadcasts per global channel
 // for that slot. The slice is a read-only scratch buffer the engine
 // reuses — implementations must copy what they keep and must not
 // write into it (the engine only re-zeroes the entries it set, so a
@@ -235,10 +228,9 @@ type TopologyMutator interface {
 
 // TopologyFeed drives per-slot topology mutation — node churn, link
 // flapping, mobility. It mirrors ActivitySink on the input side:
-// before each slot resolves, the engine calls Step exactly once from
-// its sequential section, so mutations apply between slots, are never
-// concurrent with protocol work, and feed Run and RunParallel
-// identically. Slot s's actions see every mutation Step(s, ·)
+// before each slot resolves, the engine calls Step exactly once, so
+// mutations apply between slots and are never interleaved with
+// protocol work. Slot s's actions see every mutation Step(s, ·)
 // applied; a reactive jammer observing slot s's activity therefore
 // senses traffic that already ran on the mutated topology.
 //
@@ -264,9 +256,9 @@ type Network struct {
 	// per slot. nil means the static model of the paper. Graph itself
 	// is never mutated.
 	Topology TopologyFeed
-	// Trace optionally observes every delivery the engines resolve;
-	// Engine.SetTrace overrides it. Like SetTrace callbacks it may run
-	// concurrently under RunParallel.
+	// Trace optionally observes every delivery the engines resolve, in
+	// ascending listener order within a slot; Engine.SetTrace overrides
+	// it.
 	Trace TraceFunc
 }
 
@@ -345,11 +337,9 @@ type Engine struct {
 	chHead    []int32
 	bcastNext []int32
 	touched   []int32
-	// bcasters is the sequential engine's collect-phase broadcaster
-	// buffer; seqSegs wraps it in the segment shape buildIndex takes
-	// (the pool passes per-worker segments instead).
+	// bcasters is the collect phase's broadcaster buffer, the index
+	// phase's input.
 	bcasters []int32
-	seqSegs  [][]int32
 
 	// Channel bitset rows (nil without a dense adjacency matrix): a
 	// channel whose broadcaster count reaches rowMin gets a row of n
@@ -369,24 +359,23 @@ type Engine struct {
 	// where the engine binary-searches sorted adjacency instead).
 	nbr *bitset.Matrix
 
-	// scratchMsg backs every delivery the sequential engine hands to
-	// Observe; pool workers carry their own. Reuse is why the Observe
-	// contract limits message lifetime to the call.
+	// scratchMsg backs every delivery the engine hands to Observe.
+	// Reuse is why the Observe contract limits message lifetime to the
+	// call.
 	scratchMsg Message
 
 	// bank is the shared RangeProtocol when every protocol is a view
 	// into one (see detectRangeBank); nil means per-node dispatch. acts
 	// and deliv are the range ABI's per-slot scratch, indexed by node.
 	// delivIdx records which nodes a resolve segment delivered into —
-	// segment [lo, hi) writes ids at delivIdx[lo:], so concurrent pool
-	// segments stay disjoint — letting the post-observe reset touch
-	// only those entries instead of rescanning the segment.
-	// listenBuf and segStats carry collect-phase results to the
-	// resolve phase in range mode: segment [lo, hi) writes its
-	// listeners' ids at listenBuf[lo:] and its live idle/broadcast/
-	// listen/down counts at segStats[4*lo:], so resolveRange visits
-	// only listeners instead of rescanning every node's kind. Segments
-	// are disjoint, so concurrent pool workers never collide.
+	// segment [lo, hi) writes ids at delivIdx[lo:] — letting the
+	// post-observe reset touch only those entries instead of
+	// rescanning the segment. listenBuf and segStats carry
+	// collect-phase results to the resolve phase in range mode:
+	// segment [lo, hi) writes its listeners' ids at listenBuf[lo:] and
+	// its live idle/broadcast/listen/down counts at segStats[4*lo:], so
+	// resolveRange visits only listeners instead of rescanning every
+	// node's kind.
 	bank      RangeProtocol
 	acts      []Action
 	deliv     []Delivery
@@ -429,7 +418,6 @@ func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 		bcastNext: make([]int32, n),
 		touched:   make([]int32, 0, u),
 		bcasters:  make([]int32, 0, n),
-		seqSegs:   make([][]int32, 1),
 		nbr:       nw.Graph.NeighborMatrix(),
 		trace:     nw.Trace,
 	}
@@ -579,10 +567,9 @@ func (m engineMutator) RemoveEdge(u, v int) bool {
 	return true
 }
 
-// applyTopology runs the feed for the slot about to execute. It is
-// called from the engines' sequential sections before the collect
-// phase, so mutations are never concurrent with protocol work and
-// both engines apply identical sequences. Mutations applied during
+// applyTopology runs the feed for the slot about to execute, before
+// the collect phase, so mutations are never interleaved with protocol
+// work. Mutations applied during
 // the feed's first Step on this engine are not counted in Stats —
 // they re-establish the feed's current state over the fresh clone
 // (see countTopo); everything after is a model event.
@@ -595,8 +582,6 @@ func (e *Engine) applyTopology() {
 }
 
 // SetTrace installs a delivery trace callback (nil to disable).
-// With RunParallel the callback may be invoked from multiple
-// goroutines concurrently; use Run for ordered traces.
 func (e *Engine) SetTrace(fn TraceFunc) { e.trace = fn }
 
 // Slot returns the number of slots executed so far.
@@ -659,73 +644,13 @@ func (e *Engine) RunUntilCtx(ctx context.Context, maxSlots int64, stop func(slot
 // in the microseconds while making the poll cost invisible.
 const ctxCheckMask = 15
 
-// RunParallel executes the same semantics as Run but fans the per-node
-// Act/Observe work out to a persistent pool of `workers` goroutines
-// (0 means GOMAXPROCS). Results are identical to Run for the same
-// protocols and seeds.
-func (e *Engine) RunParallel(maxSlots int64, workers int) Stats {
-	st, _ := e.RunParallelCtx(context.Background(), maxSlots, workers)
-	return st
-}
-
-// RunParallelCtx is RunParallel with cooperative cancellation,
-// mirroring RunUntilCtx: the context is polled every ctxCheckMask+1
-// slots, and a cancelled run returns the stats accumulated so far
-// together with ctx.Err(). A nil ctx means context.Background().
-//
-// The worker pool is spawned once per call and synchronizes the
-// collect and resolve phases with barriers; per-slot work allocates
-// nothing.
-func (e *Engine) RunParallelCtx(ctx context.Context, maxSlots int64, workers int) (Stats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(e.protocols)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return e.RunUntilCtx(ctx, maxSlots, nil)
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	p := newPool(e, workers)
-	defer p.stop()
-	for e.slot < maxSlots && e.nDone < n {
-		if done != nil && e.slot&ctxCheckMask == 0 {
-			select {
-			case <-done:
-				p.drain(&e.stats)
-				e.stats.Completed = false
-				return e.stats, ctx.Err()
-			default:
-			}
-		}
-		e.applyTopology()
-		p.runPhase(phaseCollect)
-		e.buildIndex(p.segs)
-		p.runPhase(phaseResolve)
-		e.feedActivity()
-		e.resetIndex()
-		e.refreshDone()
-		e.slot++
-		e.stats.Slots = e.slot
-	}
-	p.drain(&e.stats)
-	e.stats.Completed = e.nDone == n
-	return e.stats, nil
-}
-
-// step runs one full slot sequentially through the shared
-// collect → index → resolve/observe core.
+// step runs one full slot through the collect → index →
+// resolve/observe core.
 func (e *Engine) step() {
 	n := len(e.protocols)
 	e.applyTopology()
 	e.bcasters = e.collectActions(0, n, e.bcasters[:0])
-	e.seqSegs[0] = e.bcasters
-	e.buildIndex(e.seqSegs)
+	e.buildIndex(e.bcasters)
 	e.resolveAndObserve(0, n, &e.stats, &e.scratchMsg)
 	e.feedActivity()
 	e.resetIndex()
@@ -733,9 +658,8 @@ func (e *Engine) step() {
 }
 
 // feedActivity reports the slot's broadcast counts per global channel
-// to a reactive jammer. It runs in the engines' sequential sections
-// (after the slot resolves, before the next slot's Jammed queries), so
-// Run and RunParallel feed identical sequences. The activity slice is
+// to a reactive jammer, after the slot resolves and before the next
+// slot's Jammed queries. The activity slice is
 // zero outside the call: touched entries are filled from the channel
 // index and cleared again afterwards, so the cost is O(active
 // channels), not O(universe).
@@ -789,12 +713,11 @@ func (e *Engine) collectActions(lo, hi int, buf []int32) []int32 {
 }
 
 // buildIndex buckets this slot's broadcasters by global channel: the
-// index phase. segs holds the collect phase's broadcaster ids (one
-// segment per collector). One pass threads each broadcaster into its
-// channel's list; it runs in the engines' sequential sections between
-// the collect and resolve phases, costs O(broadcasters), and
-// allocates nothing (all scratch is engine-owned and pre-sized).
-func (e *Engine) buildIndex(segs [][]int32) {
+// index phase. One pass over the collect phase's broadcaster ids
+// threads each into its channel's list; it runs between the collect
+// and resolve phases, costs O(broadcasters), and allocates nothing
+// (all scratch is engine-owned and pre-sized).
+func (e *Engine) buildIndex(bcasters []int32) {
 	// Hoist the index slices into locals: the touched append mutates
 	// an engine field, so without these the compiler must assume
 	// aliasing and reload every slice header per broadcaster.
@@ -807,38 +730,36 @@ func (e *Engine) buildIndex(segs [][]int32) {
 	rowBuf := e.rowBuf
 	rowOf := e.rowOf
 	touched := e.touched
-	for _, seg := range segs {
-		for _, u := range seg {
-			ch := globalCh[u]
-			head := chHead[ch]
-			if head < 0 {
-				touched = append(touched, ch)
-			}
-			bcastNext[u] = head
-			chHead[ch] = u
-			cnt := chCount[ch] + 1
-			chCount[ch] = cnt
-			if rowBuf == nil || cnt < rowMin {
-				continue
-			}
-			// Dense channel: maintain its bitset row. The first
-			// broadcaster to reach rowMin claims a row from the pool,
-			// clears it and back-fills everyone threaded so far; later
-			// broadcasters set their own bit.
-			ri := rowOf[ch]
-			if cnt == rowMin {
-				ri = e.rowsUsed
-				e.rowsUsed++
-				rowOf[ch] = ri
-				row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
-				clear(row)
-				for v := int32(u); v >= 0; v = bcastNext[v] {
-					row[v>>6] |= 1 << (uint(v) & 63)
-				}
-				continue
-			}
-			rowBuf[int(ri)*stride+int(u>>6)] |= 1 << (uint(u) & 63)
+	for _, u := range bcasters {
+		ch := globalCh[u]
+		head := chHead[ch]
+		if head < 0 {
+			touched = append(touched, ch)
 		}
+		bcastNext[u] = head
+		chHead[ch] = u
+		cnt := chCount[ch] + 1
+		chCount[ch] = cnt
+		if rowBuf == nil || cnt < rowMin {
+			continue
+		}
+		// Dense channel: maintain its bitset row. The first
+		// broadcaster to reach rowMin claims a row from the pool,
+		// clears it and back-fills everyone threaded so far; later
+		// broadcasters set their own bit.
+		ri := rowOf[ch]
+		if cnt == rowMin {
+			ri = e.rowsUsed
+			e.rowsUsed++
+			rowOf[ch] = ri
+			row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
+			clear(row)
+			for v := int32(u); v >= 0; v = bcastNext[v] {
+				row[v>>6] |= 1 << (uint(v) & 63)
+			}
+			continue
+		}
+		rowBuf[int(ri)*stride+int(u>>6)] |= 1 << (uint(u) & 63)
 	}
 	e.touched = touched
 }
@@ -880,8 +801,8 @@ func (e *Engine) baseAdjacent(u int, v int32) bool {
 // resolveAndObserve is the resolve phase over nodes [lo, hi): it
 // consults the channel index to decide what each listener hears and
 // delivers exactly one Observe per live protocol. scratch backs every
-// delivered Message (per worker under the pool), which is why the
-// Observe contract limits message lifetime to the call.
+// delivered Message, which is why the Observe contract limits message
+// lifetime to the call.
 func (e *Engine) resolveAndObserve(lo, hi int, st *Stats, scratch *Message) {
 	if e.bank != nil {
 		e.resolveRange(lo, hi, st, scratch)

@@ -277,7 +277,9 @@ func (p *randomProto) Observe(_ int64, msg *Message) {
 
 func (p *randomProto) Done() bool { return p.slots <= 0 }
 
-func runRandom(t *testing.T, parallel bool, workers int) ([][]NodeID, Stats) {
+// runRandom runs the random-chatter workload on Engine.Run, or as a
+// BatchEngine replica when replica is set.
+func runRandom(t *testing.T, replica bool) ([][]NodeID, Stats) {
 	t.Helper()
 	master := rng.New(42)
 	g, err := graph.GNP(20, 0.3, rng.New(7))
@@ -296,14 +298,14 @@ func runRandom(t *testing.T, parallel bool, workers int) ([][]NodeID, Stats) {
 		rps[i] = rp
 		protos[i] = rp
 	}
-	e, err := NewEngine(nw, protos)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st Stats
-	if parallel {
-		st = e.RunParallel(10000, workers)
+	if replica {
+		st = runAsReplica(t, nw, protos, 10000)
 	} else {
+		e, err := NewEngine(nw, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
 		st = e.Run(10000)
 	}
 	out := make([][]NodeID, 20)
@@ -314,8 +316,8 @@ func runRandom(t *testing.T, parallel bool, workers int) ([][]NodeID, Stats) {
 }
 
 func TestSequentialDeterminism(t *testing.T) {
-	h1, s1 := runRandom(t, false, 0)
-	h2, s2 := runRandom(t, false, 0)
+	h1, s1 := runRandom(t, false)
+	h2, s2 := runRandom(t, false)
 	if s1 != s2 {
 		t.Fatalf("stats differ across identical runs: %+v vs %+v", s1, s2)
 	}
@@ -331,21 +333,22 @@ func TestSequentialDeterminism(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: the workload run as a BatchEngine
+// replica, side by side with decoy replicas in one fused pass, matches
+// Engine.Run exactly — stats and every node's observation history.
 func TestParallelMatchesSequential(t *testing.T) {
-	hs, ss := runRandom(t, false, 0)
-	for _, workers := range []int{2, 4, 0} {
-		hp, sp := runRandom(t, true, workers)
-		if ss != sp {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, ss, sp)
+	hs, ss := runRandom(t, false)
+	hp, sp := runRandom(t, true)
+	if ss != sp {
+		t.Fatalf("stats differ: %+v vs %+v", ss, sp)
+	}
+	for i := range hs {
+		if len(hs[i]) != len(hp[i]) {
+			t.Fatalf("node %d heard %d vs %d", i, len(hs[i]), len(hp[i]))
 		}
-		for i := range hs {
-			if len(hs[i]) != len(hp[i]) {
-				t.Fatalf("workers=%d node %d heard %d vs %d", workers, i, len(hs[i]), len(hp[i]))
-			}
-			for j := range hs[i] {
-				if hs[i][j] != hp[i][j] {
-					t.Fatalf("workers=%d node %d observation %d differs", workers, i, j)
-				}
+		for j := range hs[i] {
+			if hs[i][j] != hp[i][j] {
+				t.Fatalf("node %d observation %d differs", i, j)
 			}
 		}
 	}

@@ -34,10 +34,11 @@ import (
 // node's machine is never stepped — exactly the per-node contract. The
 // slices are indexed by absolute node id (lo and hi delimit the valid
 // window). A bank must behave exactly as if Act(slot) and
-// Observe(slot, ·) had been invoked per node in ascending order;
-// under RunParallel disjoint ranges of one slot are dispatched
-// concurrently, so per-node state must not alias across nodes and any
-// bank-wide state must be read-only during a slot.
+// Observe(slot, ·) had been invoked per node in ascending order. The
+// calls of one slot arrive sequentially — every ActRange of the slot,
+// in ascending range order, then every ObserveRange — so a bank may
+// keep bank-wide mutable state, such as a schedule cursor its members
+// share, and update it between calls.
 
 // Delivery is one node's resolved slot outcome on the range ABI: the
 // broadcaster heard (exactly one broadcasting neighbor on the node's
@@ -53,8 +54,7 @@ type Delivery struct {
 // RangeProtocol is the batch-aware protocol ABI. ActRange fills
 // acts[u] for every u in [lo, hi); ObserveRange consumes
 // deliveries[u] for every u in [lo, hi). Both must be equivalent to
-// the per-node calls in ascending node order (see the file comment for
-// the concurrency contract under RunParallel).
+// the per-node calls in ascending node order (see the file comment).
 type RangeProtocol interface {
 	ActRange(slot int64, lo, hi int, acts []Action)
 	ObserveRange(slot int64, lo, hi int, deliveries []Delivery)
@@ -253,10 +253,10 @@ func (e *Engine) collectRange(lo, hi int, buf []int32) []int32 {
 // resolveRange is the resolve phase over [lo, hi) in range-dispatch
 // mode: the same per-listener resolution as resolveAndObserve, writing
 // outcomes into e.deliv instead of calling Observe per node, followed
-// by one ObserveRange per maximal run of live nodes. Protocol state is
-// node-private (see the RangeProtocol contract), so deferring the
-// observes to the end of the range cannot change any resolution — the
-// channel index is immutable during the phase — and traces still fire
+// by one ObserveRange per maximal run of live nodes. Resolution reads
+// only the channel index and the topology, both immutable during the
+// phase, so deferring the observes to the end of the range cannot
+// change any resolution — and traces still fire
 // per delivery in ascending node order, byte-identical to per-node
 // dispatch.
 //

@@ -137,7 +137,8 @@ func churnFlapFeed(g *graph.Graph, seed uint64) TopologyFeed {
 }
 
 // TestEngineRangeDispatchMatchesPerNode: for static, jammed and
-// dynamic networks, sequential and parallel, the range ABI produces
+// dynamic networks, on Engine.Run and as a BatchEngine replica, the
+// range ABI produces
 // byte-identical stats, traces and per-node observations to per-node
 // dispatch on the same seed.
 func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
@@ -155,31 +156,25 @@ func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(banked bool, workers int) (Stats, string, []traceEvent) {
-				// Traces are only recorded sequentially: under RunParallel
-				// the workers fire the callback concurrently per segment,
-				// so cross-segment ordering is not part of the contract.
+			run := func(banked, replica bool) (Stats, string, []traceEvent) {
 				var trace []traceEvent
-				nw := &Network{Graph: g, Assign: a, Jammer: sc.jam}
-				if workers == 0 {
-					nw.Trace = traceRecorder(&trace)
-				}
+				nw := &Network{Graph: g, Assign: a, Jammer: sc.jam, Trace: traceRecorder(&trace)}
 				if sc.dynamic {
 					nw.Topology = churnFlapFeed(g, 0xFEED)
 				}
 				protos, views := mkBankedSet(n, c, rng.New(42), banked)
-				e, err := NewEngine(nw, protos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e.RangeDispatch() != banked {
-					t.Fatalf("banked=%v but RangeDispatch=%v", banked, e.RangeDispatch())
-				}
 				var st Stats
-				if workers == 0 {
-					st = e.Run(slots)
+				if replica {
+					st = runAsReplica(t, nw, protos, slots)
 				} else {
-					st = e.RunParallel(slots, workers)
+					e, err := NewEngine(nw, protos)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if e.RangeDispatch() != banked {
+						t.Fatalf("banked=%v but RangeDispatch=%v", banked, e.RangeDispatch())
+					}
+					st = e.Run(slots)
 				}
 				fp := ""
 				for _, v := range views {
@@ -187,20 +182,17 @@ func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
 				}
 				return st, fp, trace
 			}
-			wantStats, wantFP, wantTrace := run(false, 0)
+			wantStats, wantFP, wantTrace := run(false, false)
 			if sc.dynamic && (wantStats.DownSlots == 0 || wantStats.EdgeAdds+wantStats.EdgeRemoves == 0) {
 				t.Fatalf("dynamic scenario applied no dynamics: %+v", wantStats)
 			}
-			for _, workers := range []int{0, 3} {
-				gotStats, gotFP, gotTrace := run(true, workers)
+			for _, replica := range []bool{false, true} {
+				gotStats, gotFP, gotTrace := run(true, replica)
 				if gotStats != wantStats {
-					t.Errorf("workers=%d stats:\n range    %+v\n per-node %+v", workers, gotStats, wantStats)
+					t.Errorf("replica=%v stats:\n range    %+v\n per-node %+v", replica, gotStats, wantStats)
 				}
 				if gotFP != wantFP {
-					t.Errorf("workers=%d per-node observations diverged", workers)
-				}
-				if workers != 0 {
-					continue
+					t.Errorf("replica=%v per-node observations diverged", replica)
 				}
 				if len(gotTrace) != len(wantTrace) {
 					t.Fatalf("%d trace events on range path, %d on per-node", len(gotTrace), len(wantTrace))

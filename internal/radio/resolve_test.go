@@ -358,10 +358,10 @@ func TestResolveBinarySearchPathHugeGraph(t *testing.T) {
 	}
 }
 
-// TestRunParallelCtxCancellation covers the pool engine's cancellation
-// path: a cancelled context stops the run promptly with ctx.Err() and
-// partial stats.
-func TestRunParallelCtxCancellation(t *testing.T) {
+// TestRunUntilCtxCancellation covers the engine's cancellation path: a
+// cancelled context stops the run promptly with ctx.Err() and partial
+// stats.
+func TestRunUntilCtxCancellation(t *testing.T) {
 	g, err := graph.GNP(16, 0.3, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -381,9 +381,9 @@ func TestRunParallelCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := e.RunParallelCtx(ctx, 1<<20, 4)
+	st, err := e.RunUntilCtx(ctx, 1<<20, nil)
 	if err == nil {
-		t.Fatal("cancelled RunParallelCtx returned nil error")
+		t.Fatal("cancelled RunUntilCtx returned nil error")
 	}
 	if st.Completed {
 		t.Error("cancelled run reported Completed")

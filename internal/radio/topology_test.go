@@ -174,8 +174,9 @@ func TestTopologyFeedChurn(t *testing.T) {
 
 // TestTopologyFeedCrossEngineEquivalence: a feed mixing churn and
 // edge flapping produces identical stats and protocol outcomes under
-// Run and RunParallel at every worker count — the dynamics analogue
-// of the spectrum cross-engine suite.
+// Engine.Run and as a BatchEngine replica (a private dynamic clone
+// beside static decoy replicas) — the dynamics analogue of the
+// spectrum cross-engine suite.
 func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
 	const n, c, slots = 16, 3, 400
 	g, err := graph.GNP(n, 0.35, rng.New(5))
@@ -206,7 +207,7 @@ func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
 			}
 		}}
 	}
-	run := func(workers int) (Stats, string) {
+	run := func(replica bool) (Stats, string) {
 		master := rng.New(9)
 		protos := make([]Protocol, n)
 		seeks := make([]*seekLike, n)
@@ -216,15 +217,15 @@ func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
 			protos[u] = sk
 		}
 		nw := &Network{Graph: g, Assign: a, Topology: mkFeed()}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var st Stats
-		if workers == 0 {
-			st = e.Run(slots)
+		if replica {
+			st = runAsReplica(t, nw, protos, slots)
 		} else {
-			st = e.RunParallel(slots, workers)
+			e, err := NewEngine(nw, protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = e.Run(slots)
 		}
 		fp := ""
 		for _, sk := range seeks {
@@ -232,18 +233,16 @@ func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
 		}
 		return st, fp
 	}
-	wantStats, wantFP := run(0)
+	wantStats, wantFP := run(false)
 	if wantStats.EdgeAdds+wantStats.EdgeRemoves == 0 || wantStats.DownSlots == 0 {
 		t.Fatalf("feed applied no dynamics: %+v", wantStats)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		gotStats, gotFP := run(workers)
-		if gotStats != wantStats {
-			t.Errorf("workers=%d stats = %+v, want %+v", workers, gotStats, wantStats)
-		}
-		if gotFP != wantFP {
-			t.Errorf("workers=%d protocol outcomes diverged", workers)
-		}
+	gotStats, gotFP := run(true)
+	if gotStats != wantStats {
+		t.Errorf("batch replica stats = %+v, want %+v", gotStats, wantStats)
+	}
+	if gotFP != wantFP {
+		t.Errorf("batch replica protocol outcomes diverged")
 	}
 }
 

@@ -11,7 +11,10 @@
 // math/rand's locked global source.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256★★ pseudo-random generator.
 // It is not safe for concurrent use; give each goroutine its own stream.
@@ -48,18 +51,15 @@ func (r *Source) Split(id uint64) *Source {
 	return New(h)
 }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The xoshiro256★★ step is
+// written with locals and one state store so that it, and Below
+// around it, stay within the compiler's inlining budget: per-node coin
+// loops then draw without a call.
 func (r *Source) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	s0, s1 := r.s[0], r.s[1]
+	s2, s3 := r.s[2]^s0, r.s[3]^s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -102,15 +102,48 @@ func (r *Source) Bool() bool {
 	return r.Uint64()&1 == 1
 }
 
-// Bernoulli returns true with probability p (clamped to [0, 1]).
+// Bernoulli returns true with probability p (clamped to [0, 1]). It
+// draws nothing when the outcome is certain: p <= 0 and NaN are always
+// false, p >= 1 always true.
 func (r *Source) Bernoulli(p float64) bool {
-	if p <= 0 {
+	if !(p > 0) {
 		return false
 	}
 	if p >= 1 {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// alwaysBelow is the threshold Below treats as certain success: every
+// 53-bit draw x>>11 lies below it.
+const alwaysBelow = 1 << 53
+
+// BernoulliThreshold converts p into the integer form Below consumes:
+// ⌈p·2⁵³⌉, with 0 for p <= 0 and NaN and 2⁵³ for p >= 1. Float64 is
+// (x>>11)/2⁵³ and p·2⁵³ is exact, so x>>11 < ⌈p·2⁵³⌉ holds exactly
+// when Float64() < p: Below(BernoulliThreshold(p)) returns the same
+// outcome as Bernoulli(p) and consumes the same draws.
+func BernoulliThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return alwaysBelow
+	}
+	return uint64(math.Ceil(p * alwaysBelow))
+}
+
+// Below returns true with probability t/2⁵³ for a threshold from
+// BernoulliThreshold, drawing nothing when t is 0 or 2⁵³. Hot loops
+// precompute t once instead of converting a float per draw.
+func (r *Source) Below(t uint64) bool {
+	// One unsigned compare sorts out both certain cases: t-1 wraps
+	// around for t == 0.
+	if t-1 >= alwaysBelow-1 {
+		return t != 0
+	}
+	return r.Uint64()>>11 < t
 }
 
 // OneIn returns true with probability 1/n. It panics if n <= 0.

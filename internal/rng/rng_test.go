@@ -348,3 +348,55 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(1000)
 	}
 }
+
+// TestBelowMatchesBernoulli is the property behind the integer
+// threshold: for every p, Below(BernoulliThreshold(p)) returns the
+// same outcome as Bernoulli(p) on a twin stream, draw for draw, and
+// leaves the stream in the same state — including the no-draw cases
+// p <= 0, p >= 1 and NaN.
+func TestBelowMatchesBernoulli(t *testing.T) {
+	ps := []float64{
+		0, -0.5, math.Inf(-1), math.NaN(), 1, 1.5, math.Inf(1),
+		1.0 / 3, 2.0 / 3, 0.1, 0.3, 0.999,
+		1 - 0x1p-53, 0x1p-53, 0x1p-54, 0x1p-1074, math.SmallestNonzeroFloat64,
+		math.Nextafter(1, 0), math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+	}
+	for k := 1; k <= 60; k++ {
+		ps = append(ps, math.Ldexp(1, -k))
+	}
+	pick := New(99)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, pick.Float64())
+	}
+	const draws = 2000
+	for i, p := range ps {
+		a, b := New(uint64(i)+1), New(uint64(i)+1)
+		th := BernoulliThreshold(p)
+		for d := 0; d < draws; d++ {
+			if got, want := b.Below(th), a.Bernoulli(p); got != want {
+				t.Fatalf("p=%v draw %d: Below(%d) = %v, Bernoulli = %v", p, d, th, got, want)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("p=%v: stream state diverged after %d draws", p, draws)
+		}
+	}
+}
+
+// TestBernoulliThresholdValues pins the threshold encoding.
+func TestBernoulliThresholdValues(t *testing.T) {
+	cases := []struct {
+		p    float64
+		want uint64
+	}{
+		{0, 0}, {-1, 0}, {math.NaN(), 0},
+		{1, 1 << 53}, {2, 1 << 53},
+		{0.5, 1 << 52}, {0.25, 1 << 51}, {0x1p-53, 1}, {0x1p-60, 1},
+		{1 - 0x1p-53, 1<<53 - 1},
+	}
+	for _, c := range cases {
+		if got := BernoulliThreshold(c.p); got != c.want {
+			t.Errorf("BernoulliThreshold(%v) = %d, want %d", c.p, got, c.want)
+		}
+	}
+}

@@ -26,7 +26,7 @@ type Event struct {
 }
 
 // Recorder accumulates delivery events from an engine run.
-// Attach with Attach; not safe for RunParallel (use Run).
+// Attach with Attach.
 type Recorder struct {
 	events []Event
 }

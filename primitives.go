@@ -3,7 +3,7 @@ package crn
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crn/internal/core"
 	"crn/internal/dynamics"
@@ -169,7 +169,7 @@ func prepareDiscovery(s *Scenario, name string, mk func(core.Env) (core.Discover
 		dr.ds[u] = d
 		dr.protos[u] = d
 		// Per-node observation lookups for the target predicate,
-		// asserted once: probing Observation(id) in the stop callback
+		// asserted once: probing FirstHeard(id) in the stop callback
 		// avoids the per-slot slice Discovered() would allocate in the
 		// engine's hot loop.
 		dr.observers[u], _ = d.(observer)
@@ -226,7 +226,7 @@ func (dr *discoveryRun) satisfied(u int) bool {
 	}
 	if dr.observers[u] != nil {
 		for id := range dr.targets[u] {
-			if dr.observers[u].Observation(id) == nil {
+			if _, ok := dr.observers[u].FirstHeard(id); !ok {
 				return false
 			}
 		}
@@ -265,22 +265,33 @@ func (dr *discoveryRun) finish(st radio.Stats) *Result {
 		Neighbors:  make([][]int, n),
 		FirstHeard: make([][]int64, n),
 	}
+	// found[v] == u+1 marks v as discovered by u.
+	found := make([]int32, n)
 	for u := 0; u < n; u++ {
-		found := make(map[radio.NodeID]bool)
 		discovered := dr.ds[u].Discovered()
-		// Discovered() carries no order guarantee (it drains a map);
-		// sort so Results — and therefore sweep runs — are reproducible
-		// byte for byte.
-		sort.Slice(discovered, func(i, j int) bool { return discovered[i] < discovered[j] })
-		for _, id := range discovered {
-			found[id] = true
-			det.Neighbors[u] = append(det.Neighbors[u], int(id))
-			det.FirstHeard[u] = append(det.FirstHeard[u], firstHeardSlot(dr.ds[u], id))
+		// Baselines' Discovered() carries no order guarantee (it drains
+		// a map); sort so Results — and therefore sweep runs — are
+		// reproducible byte for byte.
+		slices.Sort(discovered)
+		if len(discovered) > 0 {
+			neighbors := make([]int, len(discovered))
+			firstHeard := make([]int64, len(discovered))
+			for i, id := range discovered {
+				found[id] = int32(u + 1)
+				neighbors[i] = int(id)
+				firstHeard[i] = -1
+				if o := dr.observers[u]; o != nil {
+					if slot, ok := o.FirstHeard(id); ok {
+						firstHeard[i] = slot
+					}
+				}
+			}
+			det.Neighbors[u], det.FirstHeard[u] = neighbors, firstHeard
 		}
 		if dr.targets == nil {
 			det.PairsTotal += s.g.Degree(u)
 			for _, v := range s.g.Neighbors(u) {
-				if found[radio.NodeID(v)] {
+				if found[v] == int32(u+1) {
 					det.PairsDiscovered++
 				}
 			}
@@ -291,7 +302,7 @@ func (dr *discoveryRun) finish(st radio.Stats) *Result {
 				continue
 			}
 			det.PairsTotal++
-			if found[radio.NodeID(v)] {
+			if found[v] == int32(u+1) {
 				det.PairsDiscovered++
 			}
 		}
@@ -410,16 +421,7 @@ func spectrumDetail(st radio.Stats) *SpectrumDetail {
 // observer is the optional per-neighbor observation interface some
 // discoverers (CSEEK and variants) expose.
 type observer interface {
-	Observation(radio.NodeID) *core.SeekObservation
-}
-
-func firstHeardSlot(d core.Discoverer, id radio.NodeID) int64 {
-	if o, ok := d.(observer); ok {
-		if obs := o.Observation(id); obs != nil {
-			return obs.Slot
-		}
-	}
-	return -1
+	FirstHeard(radio.NodeID) (slot int64, ok bool)
 }
 
 // BroadcastOption configures the GlobalBroadcast primitive and
