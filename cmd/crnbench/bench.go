@@ -179,7 +179,7 @@ func benchSuite() ([]benchSpec, error) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a}, kernelProtos(64, 8, true))
+		e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a}, kernelProtos(64, 8))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,67 +213,6 @@ func benchSuite() ([]benchSpec, error) {
 		e.Run(int64(b.N))
 	}
 
-	// The kernel workload batched: 8 replicas of the same scenario
-	// fused into one BatchEngine pass, the execution strategy behind
-	// SweepSpec.Batch. One op is one fused slot — 8×64 node-slots.
-	// Deliberately per-node dispatch: together with engine/slot-kernel
-	// it brackets the fallback and range ABIs.
-	const batchReplicas = 8
-	batchBench := func(b *testing.B) {
-		g, a, err := benchTopology()
-		if err != nil {
-			b.Fatal(err)
-		}
-		reps := make([]radio.Replica, batchReplicas)
-		for r := range reps {
-			reps[r] = radio.Replica{Protocols: kernelProtos(64, 8, false)}
-		}
-		e, err := radio.NewBatchEngine(g, a, reps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		e.Run(int64(b.N))
-	}
-
-	// Dynamic-topology batching: 8 replicas of the slot-dynamics
-	// workload — random traffic under churn + link flapping, one private
-	// feed and graph clone per replica — through one fused pass. Against
-	// engine/slot-dynamics this prices the per-replica reconciliation
-	// the batch engine now performs instead of falling back to
-	// sequential runs.
-	batchDynBench := func(b *testing.B) {
-		g, a, err := benchTopology()
-		if err != nil {
-			b.Fatal(err)
-		}
-		reps := make([]radio.Replica, batchReplicas)
-		for r := range reps {
-			master := rng.New(uint64(100 + r))
-			protos := make([]radio.Protocol, 64)
-			for i := range protos {
-				protos[i] = benchRandomProto(master.Split(uint64(i)), 8)
-			}
-			churn, err := dynamics.NewChurn(64, 0.002, 0.05, uint64(40+r))
-			if err != nil {
-				b.Fatal(err)
-			}
-			flap, err := dynamics.NewEdgeFlap(g.Edges(), 0.005, 0.1, uint64(50+r))
-			if err != nil {
-				b.Fatal(err)
-			}
-			reps[r] = radio.Replica{Protocols: protos, Topology: dynamics.Compose(churn, flap)}
-		}
-		e, err := radio.NewBatchEngine(g, a, reps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		e.Run(int64(b.N))
-	}
-
 	specs := []benchSpec{
 		{
 			name:        "engine/slot",
@@ -298,18 +237,6 @@ func benchSuite() ([]benchSpec, error) {
 			reps:        3,
 			nodeSlotsOp: 64,
 			fn:          rangeBench,
-		},
-		{
-			name:        "engine/slot-batch",
-			reps:        3,
-			nodeSlotsOp: batchReplicas * 64,
-			fn:          batchBench,
-		},
-		{
-			name:        "engine/slot-batch-dynamics",
-			reps:        3,
-			nodeSlotsOp: batchReplicas * 64,
-			fn:          batchDynBench,
 		},
 		{
 			name:        "primitive/cseek",
@@ -386,7 +313,7 @@ func benchSuite() ([]benchSpec, error) {
 }
 
 // benchTopology is the shared 64-node instance behind the engine/*
-// benchmarks, so kernel and batch numbers are directly comparable to
+// benchmarks, so kernel and range numbers are directly comparable to
 // the random-traffic slot loop.
 func benchTopology() (*graph.Graph, *chanassign.Assignment, error) {
 	g, err := graph.GNP(64, 0.15, rng.New(2))
@@ -466,12 +393,10 @@ func benchRandomBankedProtos(n, c int, master *rng.Source) []radio.Protocol {
 // in the engine kernel rather than the protocol. It never finishes and
 // declares so via FixedSchedule, which lets the engine skip the
 // per-slot Done poll. The per-node state lives in the bank's flat
-// arrays either way; banked only controls whether the engine is told
-// about the bank (range vs per-node dispatch of the same machines).
+// arrays.
 type kernelProto struct {
-	id     int
-	bank   *kernelBank
-	banked bool
+	id   int
+	bank *kernelBank
 }
 
 func (p *kernelProto) Act(_ int64) radio.Action {
@@ -493,12 +418,7 @@ func (p *kernelProto) Done() bool                        { return false }
 func (p *kernelProto) MinDoneSlots() int64               { return 1 << 62 }
 
 // RangeBank implements radio.RangeNode.
-func (p *kernelProto) RangeBank() (radio.RangeProtocol, int) {
-	if !p.banked {
-		return nil, 0
-	}
-	return p.bank, p.id
-}
+func (p *kernelProto) RangeBank() (radio.RangeProtocol, int) { return p.bank, p.id }
 
 // kernelBank is the range-ABI bank over the kernel workload: per-node
 // state is struct-of-arrays (slot counters and preboxed frames in flat
@@ -536,10 +456,10 @@ func (b *kernelBank) ActRange(_ int64, lo, hi int, acts []radio.Action) {
 
 func (b *kernelBank) ObserveRange(_ int64, _, _ int, _ []radio.Delivery) {}
 
-// kernelProtos builds the scripted kernel workload; banked shares a
-// kernelBank across the set (range dispatch), matching how the facade
-// now runs the core protocols.
-func kernelProtos(n, c int, banked bool) []radio.Protocol {
+// kernelProtos builds the scripted kernel workload, one kernelBank
+// shared across the set (range dispatch), matching how the facade runs
+// the core protocols.
+func kernelProtos(n, c int) []radio.Protocol {
 	if c&(c-1) != 0 {
 		panic("kernelProtos: c must be a power of two")
 	}
@@ -547,7 +467,7 @@ func kernelProtos(n, c int, banked bool) []radio.Protocol {
 	protos := make([]radio.Protocol, n)
 	for i := range protos {
 		bank.frames[i] = i
-		protos[i] = &kernelProto{id: i, bank: bank, banked: banked}
+		protos[i] = &kernelProto{id: i, bank: bank}
 	}
 	return protos
 }

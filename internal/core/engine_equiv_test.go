@@ -8,19 +8,21 @@ import (
 	"crn/internal/chanassign"
 	"crn/internal/graph"
 	"crn/internal/radio"
+	"crn/internal/radio/radiotest"
 	"crn/internal/rng"
 	"crn/internal/spectrum"
 )
 
 // TestCrossEngineEquivalenceUnderJammers is the cross-engine
 // determinism lockdown for the spectrum subsystem: for every jammer
-// family, Engine.Run and a radio.BatchEngine replica (running beside a
-// decoy replica of the same stack) must produce identical results on
-// the same seed — identical Stats and identical per-node protocol
-// outcomes — table-driven across all four primitives' protocol stacks
-// (CSEEK, CKSEEK, CGCAST dissemination, flooding). Stateful jammers
-// (the reactive adversary) are re-instantiated per run via
-// spectrum.RunScoped, exactly as the facade does per run.
+// family, the protocols merged into their shared bank on Engine.Run
+// must match the same stack unmerged (per-node dispatch) and checked
+// slot by slot against the naive oracle of radiotest — identical Stats
+// and identical per-node protocol outcomes — table-driven across all
+// four primitives' protocol stacks (CSEEK, CKSEEK, CGCAST
+// dissemination, flooding). Stateful jammers (the reactive adversary)
+// are re-instantiated per run via spectrum.RunScoped, exactly as the
+// facade does per run.
 func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 	const n, c, k, seed = 10, 4, 2, 5
 	g, err := graph.GNP(n, 0.4, rng.New(seed))
@@ -64,6 +66,7 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 	type stack struct {
 		protos  []radio.Protocol
 		slots   int64
+		attach  func()
 		outcome func() string
 	}
 	discoveryStack := func(t *testing.T, mk func(Env) (Discoverer, error)) stack {
@@ -79,7 +82,12 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 			ds[u] = dv
 			protos[u] = dv
 		}
-		return stack{protos: protos, slots: ds[0].TotalSlots(), outcome: func() string {
+		attach := func() {
+			if !BankDiscoverers(ds) {
+				t.Fatal("bank attachment refused")
+			}
+		}
+		return stack{protos: protos, slots: ds[0].TotalSlots(), attach: attach, outcome: func() string {
 			out := ""
 			for u := 0; u < n; u++ {
 				ids := ds[u].Discovered()
@@ -126,7 +134,7 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 				dps[u] = dp
 				protos[u] = dp
 			}
-			return stack{protos: protos, slots: dps[0].totalSlots(), outcome: func() string {
+			return stack{protos: protos, slots: dps[0].totalSlots(), attach: func() { newDissemBank(dps) }, outcome: func() string {
 				out := ""
 				for u, dp := range dps {
 					out += fmt.Sprintf("%d:%v@%d;", u, dp.informed, dp.informedAt)
@@ -146,7 +154,7 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 				fls[u] = fl
 				protos[u] = fl
 			}
-			return stack{protos: protos, slots: fls[0].TotalSlots(), outcome: func() string {
+			return stack{protos: protos, slots: fls[0].TotalSlots(), attach: func() { NewFloodBank(fls) }, outcome: func() string {
 				out := ""
 				for u, fl := range fls {
 					out += fmt.Sprintf("%d:%v@%d;", u, fl.Informed(), fl.InformedAt())
@@ -166,38 +174,37 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 					}
 					return &radio.Network{Graph: g, Assign: a, Jammer: j}
 				}
-				run := func(replica bool) (radio.Stats, string) {
+				run := func(banked bool) (radio.Stats, string) {
 					nw := network()
 					st := prim.build(t, nw)
 					budget := st.slots + 1
 					if budget > 30000 {
 						budget = 30000 // equivalence needs a prefix, not a full schedule
 					}
-					if !replica {
-						e, err := radio.NewEngine(nw, st.protos)
+					if !banked {
+						stats, err := radiotest.Run(nw, st.protos, budget)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("unmerged run disagrees with the oracle: %v", err)
 						}
-						return e.Run(budget), st.outcome()
+						return stats, st.outcome()
 					}
-					decoyNW := network()
-					decoy := prim.build(t, decoyNW)
-					be, err := radio.NewBatchEngine(g, a, []radio.Replica{
-						{Protocols: decoy.protos, Jammer: decoyNW.Jammer},
-						{Protocols: st.protos, Jammer: nw.Jammer},
-					})
+					st.attach()
+					e, err := radio.NewEngine(nw, st.protos)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return be.Run(budget)[1], st.outcome()
+					if !e.RangeDispatch() {
+						t.Fatal("merged stack did not select its bank")
+					}
+					return e.Run(budget), st.outcome()
 				}
 				wantStats, wantOutcome := run(false)
 				gotStats, gotOutcome := run(true)
 				if gotStats != wantStats {
-					t.Errorf("batch replica stats = %+v, want %+v", gotStats, wantStats)
+					t.Errorf("banked stats = %+v, oracle-checked unmerged %+v", gotStats, wantStats)
 				}
 				if gotOutcome != wantOutcome {
-					t.Errorf("batch replica outcome diverged:\n got %s\nwant %s", gotOutcome, wantOutcome)
+					t.Errorf("banked outcome diverged:\n got %s\nwant %s", gotOutcome, wantOutcome)
 				}
 			})
 		}

@@ -6,6 +6,7 @@ import (
 	"crn/internal/chanassign"
 	"crn/internal/graph"
 	"crn/internal/radio"
+	"crn/internal/radio/radiotest"
 	"crn/internal/rng"
 )
 
@@ -361,11 +362,12 @@ func TestComposeSemantics(t *testing.T) {
 	}
 }
 
-// TestModelsOnRealEngine drives every model through two real engine
-// paths — Engine.Run, and a BatchEngine replica beside a decoy replica
-// with its own feed instance — and requires identical stats: the
-// engine-level equivalence guarantee holds for the shipped models, not
-// just scripted feeds.
+// TestModelsOnRealEngine drives every model on the real engine under
+// the naive oracle of radiotest, which replays each mutation the model
+// makes on its own adjacency and re-resolves every slot, and requires
+// the same stats as a plain Engine.Run with a fresh feed instance: the
+// engine's dynamics hold for the shipped models, not just scripted
+// feeds.
 func TestModelsOnRealEngine(t *testing.T) {
 	g, geom, err := graph.UnitDiskGeometry(18, 0.4, rng.New(21))
 	if err != nil {
@@ -420,15 +422,12 @@ func TestModelsOnRealEngine(t *testing.T) {
 			if want.EdgeAdds+want.EdgeRemoves+want.DownSlots == 0 {
 				t.Fatalf("model applied no dynamics: %+v", want)
 			}
-			be, err := radio.NewBatchEngine(g, a, []radio.Replica{
-				{Protocols: protos(31), Topology: feed()},
-				{Protocols: protos(32), Topology: feed()},
-			})
+			got, err := radiotest.Run(&radio.Network{Graph: g, Assign: a, Topology: feed()}, protos(31), 500)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("engine disagrees with the oracle: %v", err)
 			}
-			if got := be.Run(500)[0]; got != want {
-				t.Errorf("batch replica stats = %+v, want %+v", got, want)
+			if got != want {
+				t.Errorf("stats under the oracle = %+v, plain run %+v", got, want)
 			}
 		})
 	}

@@ -1,5 +1,7 @@
 package graph
 
+import "crn/internal/bitset"
+
 // Dynamic is a mutable view of a graph for time-varying topologies:
 // node mobility and link flapping mutate the edge set between radio
 // slots, so the structure supports incremental edge insertion and
@@ -42,14 +44,19 @@ func NewDynamic(base *Graph) *Dynamic {
 		g.adj[u] = append([]int32(nil), base.adj[u]...)
 	}
 	copy(g.edges, base.edges)
-	if base.nbr != nil {
+	switch {
+	case base.nbr != nil:
 		g.nbr = base.nbr.Clone()
-	}
-	if base.edgeSet != nil {
+	case base.edgeSet != nil:
 		g.edgeSet = make(map[uint64]struct{}, len(base.edgeSet))
 		for k := range base.edgeSet {
 			g.edgeSet[k] = struct{}{}
 		}
+	default:
+		// An edgeless base below the matrix cap has no edge index yet
+		// (AddEdge builds the matrix lazily); the view needs one from
+		// the start, or HasEdge misses every added edge.
+		g.nbr = bitset.NewMatrix(g.n, g.n)
 	}
 	d := &Dynamic{g: g, edgeIdx: make(map[uint64]int, len(g.edges))}
 	for i, e := range g.edges {

@@ -117,6 +117,28 @@ func TestDynamicRandomizedOracle(t *testing.T) {
 	assertDynamicMatches(t, d, rebuildFromDynamic(t, d))
 }
 
+// TestDynamicEdgelessBase: a view over a graph with no edges yet must
+// still index the edges added to it, so HasEdge sees them and a
+// repeated AddEdge is a no-op rather than a duplicate adjacency entry.
+func TestDynamicEdgelessBase(t *testing.T) {
+	base := New(8)
+	base.Finalize()
+	d := NewDynamic(base)
+	if !d.AddEdge(4, 5) {
+		t.Fatal("AddEdge(4,5) refused on an edgeless view")
+	}
+	if !d.HasEdge(4, 5) || !d.HasEdge(5, 4) {
+		t.Fatal("HasEdge misses an added edge")
+	}
+	if d.AddEdge(5, 4) {
+		t.Fatal("repeated AddEdge reported a change")
+	}
+	assertDynamicMatches(t, d, rebuildFromDynamic(t, d))
+	if base.M() != 0 || base.NeighborMatrix() != nil {
+		t.Error("base graph mutated")
+	}
+}
+
 // TestDynamicHashFallbackOracle exercises the hash edge-index path
 // (graphs above the dense-matrix node cap never allocate a matrix; the
 // test forces that path on a small graph via the edgeSet branch by

@@ -1,11 +1,9 @@
 package radio
 
 import (
-	"fmt"
 	"testing"
 
 	"crn/internal/graph"
-	"crn/internal/rng"
 )
 
 func TestDelayedIdlesBeforeStart(t *testing.T) {
@@ -93,135 +91,6 @@ func TestDelayedEndToEnd(t *testing.T) {
 		// payload 5+i there.
 		if msg.Data != 5+i {
 			t.Errorf("observation %d: payload %v, want %d", i, msg.Data, 5+i)
-		}
-	}
-}
-
-// delayedChatter is a never-finishing random protocol for the
-// pool-equivalence tests, summarizing its delivery history.
-type delayedChatter struct {
-	r     *rng.Source
-	c     int
-	heard []NodeID
-}
-
-func (p *delayedChatter) Act(_ int64) Action {
-	switch p.r.Intn(3) {
-	case 0:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: "d"}
-	case 1:
-		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
-	default:
-		return Action{Kind: Idle}
-	}
-}
-
-func (p *delayedChatter) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		p.heard = append(p.heard, msg.From)
-	}
-}
-
-func (p *delayedChatter) Done() bool { return false }
-
-// TestDelayedParallelMatchesSequential: a network of staggered-start
-// protocols (one Delayed wrapper per node, starts spread across the
-// run) produces identical stats and per-node delivery histories under
-// Run and as a BatchEngine replica running beside decoy replicas; the
-// wrapper's started/Done interplay and the pre-start idles cross the
-// batch engine's per-replica freeze logic here.
-func TestDelayedParallelMatchesSequential(t *testing.T) {
-	const n, c, slots = 24, 3, 600
-	g, err := graph.GNP(n, 0.3, rng.New(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(replica bool) (Stats, string) {
-		nw := newTestNetwork(t, g, c, 99)
-		master := rng.New(8)
-		inner := make([]*delayedChatter, n)
-		protos := make([]Protocol, n)
-		for u := 0; u < n; u++ {
-			inner[u] = &delayedChatter{r: master.Split(uint64(u)), c: c}
-			// Stagger starts 0, 7, 14, ... so some nodes wake mid-run.
-			protos[u] = &Delayed{Start: int64(u * 7), Inner: inner[u]}
-		}
-		var st Stats
-		if replica {
-			st = runAsReplica(t, nw, protos, slots)
-		} else {
-			e, err := NewEngine(nw, protos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st = e.Run(slots)
-		}
-		fp := ""
-		for u, p := range inner {
-			fp += fmt.Sprintf("%d:%v;", u, p.heard)
-		}
-		return st, fp
-	}
-	wantStats, wantFP := run(false)
-	if wantStats.Deliveries == 0 {
-		t.Fatal("staggered workload delivered nothing — degenerate test")
-	}
-	// Pre-start slots are engine Idles: the late starters idle through
-	// 7u slots each.
-	if wantStats.Idles == 0 {
-		t.Fatal("no idle slots despite staggered starts")
-	}
-	gotStats, gotFP := run(true)
-	if gotStats != wantStats {
-		t.Errorf("batch replica stats = %+v, want %+v", gotStats, wantStats)
-	}
-	if gotFP != wantFP {
-		t.Errorf("batch replica delivery histories diverged from Run")
-	}
-}
-
-// TestDelayedFiniteParallelCompletion: Delayed wrappers around finite
-// scripts complete as a BatchEngine replica exactly as they do on Run,
-// including the started/Done interplay (a never-started Delayed must
-// not report done).
-func TestDelayedFiniteParallelCompletion(t *testing.T) {
-	const n = 8
-	g := graph.Path(n)
-	mk := func() []Protocol {
-		protos := make([]Protocol, n)
-		for u := 0; u < n; u++ {
-			script := make([]Action, 4)
-			for i := range script {
-				if u%2 == 0 {
-					script[i] = Action{Kind: Broadcast, Ch: 0, Data: u}
-				} else {
-					script[i] = Action{Kind: Listen, Ch: 0}
-				}
-			}
-			protos[u] = &Delayed{Start: int64(3 * u), Inner: &scriptProto{script: script}}
-		}
-		return protos
-	}
-	run := func(replica bool, budget int64) Stats {
-		nw := newTestNetwork(t, g, 1, 5)
-		if replica {
-			return runAsReplica(t, nw, mk(), budget)
-		}
-		e, err := NewEngine(nw, mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Run(budget)
-	}
-	budget := int64(3*(n-1) + 4 + 1)
-	for _, replica := range []bool{false, true} {
-		if st := run(replica, budget); !st.Completed {
-			t.Errorf("replica=%v: staggered finite run did not complete in %d slots: %+v", replica, budget, st)
-		}
-		// Under-budget runs must not report completion: the last
-		// starter has not finished its script yet.
-		if st := run(replica, int64(3*(n-1)+1)); st.Completed {
-			t.Errorf("replica=%v: run completed before the last delayed starter could finish", replica)
 		}
 	}
 }

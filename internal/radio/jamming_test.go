@@ -70,41 +70,3 @@ func TestJammingOnlyAffectsItsChannel(t *testing.T) {
 		t.Errorf("JammedListens = %d, want 0", st.JammedListens)
 	}
 }
-
-// TestJammingParallelEngineAgrees: under a jammer, the workload run as
-// a BatchEngine replica beside decoy replicas reports the same stats
-// as Engine.Run.
-func TestJammingParallelEngineAgrees(t *testing.T) {
-	run := func(replica bool) Stats {
-		g := graph.Star(8)
-		nw := newTestNetwork(t, g, 3, 33)
-		nw.Jammer = &stubJammer{jam: map[[2]int64]bool{
-			{0, 0}: true, {1, 1}: true, {2, 2}: true, {5, 0}: true,
-		}}
-		protos := make([]Protocol, 8)
-		for i := range protos {
-			script := make([]Action, 12)
-			for s := range script {
-				if i%2 == 0 {
-					script[s] = Action{Kind: Listen, Ch: (i + s) % 3}
-				} else {
-					script[s] = Action{Kind: Broadcast, Ch: (i + s) % 3, Data: i}
-				}
-			}
-			protos[i] = &scriptProto{script: script}
-		}
-		if replica {
-			return runAsReplica(t, nw, protos, 100)
-		}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Run(100)
-	}
-	seq := run(false)
-	rep := run(true)
-	if seq != rep {
-		t.Errorf("stats differ under jamming: Run %+v vs batch replica %+v", seq, rep)
-	}
-}

@@ -10,8 +10,7 @@
 // detection. A broadcasting node "receives" only its own message.
 //
 // Protocols are written against the Protocol interface and stepped by
-// an Engine, one slot at a time on the calling goroutine; BatchEngine
-// fuses several independent runs into one slot loop. Parallelism
+// an Engine, one slot at a time on the calling goroutine. Parallelism
 // lives a level up: sweeps spread whole runs across workers, and
 // every run is deterministic because randomness lives in per-node
 // streams.
@@ -20,17 +19,18 @@
 //
 // The engine executes a slot in three phases:
 //
-//  1. Collect: every live protocol's Act is called and its chosen
-//     global channel resolved.
+//  1. Collect: every live protocol's action is collected — through
+//     the protocols' shared range bank or the per-node adapter (see
+//     ranged.go) — and its chosen global channel resolved.
 //  2. Index: broadcasters are bucketed by global channel into a
 //     compact per-slot index — a count per channel plus an intrusive
 //     per-channel broadcaster list (O(broadcasters)).
-//  3. Resolve/observe: every live protocol's Observe is called with
-//     the delivery outcome. A listener on a channel with zero
-//     broadcasters resolves to silence in O(1); with one broadcaster,
-//     via a single O(1)/O(log Δ) adjacency probe; only genuinely
-//     contended channels walk the shorter of the channel's broadcaster
-//     list and the listener's neighbor list.
+//  3. Resolve/observe: every listener's delivery outcome is resolved,
+//     then every live protocol observes its outcome. A listener on a
+//     channel with zero broadcasters resolves to silence in O(1); with
+//     one broadcaster, via a single O(1)/O(log Δ) adjacency probe;
+//     only genuinely contended channels walk the shorter of the
+//     channel's broadcaster list and the listener's neighbor list.
 //
 // After phase 3 the engine feeds reactive jammers (ActivitySink),
 // refreshes completion flags, and advances the slot counter.
@@ -174,8 +174,10 @@ func (s *Stats) Accumulate(o Stats) {
 }
 
 // TraceFunc observes every delivery the engine resolves, for debugging
-// and the crntrace tool. msg is only valid during the call (the engine
-// reuses the storage); copy what you keep.
+// and the crntrace tool. Within a slot the calls come in ascending
+// listener order, all before the slot's first Observe. msg is only
+// valid during the call (the engine reuses the storage); copy what you
+// keep.
 type TraceFunc func(slot int64, listener NodeID, globalCh int32, msg *Message)
 
 // Jammer reports primary-user occupancy per (slot, global channel).
@@ -256,9 +258,9 @@ type Network struct {
 	// per slot. nil means the static model of the paper. Graph itself
 	// is never mutated.
 	Topology TopologyFeed
-	// Trace optionally observes every delivery the engines resolve, in
-	// ascending listener order within a slot; Engine.SetTrace overrides
-	// it.
+	// Trace optionally observes every delivery the engine resolves, in
+	// ascending listener order within a slot and before the slot's
+	// Observe calls; Engine.SetTrace overrides it.
 	Trace TraceFunc
 }
 
@@ -359,29 +361,23 @@ type Engine struct {
 	// where the engine binary-searches sorted adjacency instead).
 	nbr *bitset.Matrix
 
-	// scratchMsg backs every delivery the engine hands to Observe.
-	// Reuse is why the Observe contract limits message lifetime to the
-	// call.
-	scratchMsg Message
+	// traceMsg backs every delivery the engine hands to a TraceFunc.
+	traceMsg Message
 
-	// bank is the shared RangeProtocol when every protocol is a view
-	// into one (see detectRangeBank); nil means per-node dispatch. acts
-	// and deliv are the range ABI's per-slot scratch, indexed by node.
-	// delivIdx records which nodes a resolve segment delivered into —
-	// segment [lo, hi) writes ids at delivIdx[lo:] — letting the
-	// post-observe reset touch only those entries instead of
-	// rescanning the segment. listenBuf and segStats carry
-	// collect-phase results to the resolve phase in range mode:
-	// segment [lo, hi) writes its listeners' ids at listenBuf[lo:] and
-	// its live idle/broadcast/listen/down counts at segStats[4*lo:], so
-	// resolveRange visits only listeners instead of rescanning every
-	// node's kind.
+	// bank is the range-ABI dispatch target: the protocols' shared
+	// RangeProtocol when every protocol is a view into one (see
+	// detectRangeBank), the per-node adapter otherwise. acts and deliv
+	// are the range ABI's per-slot scratch, indexed by node. The collect
+	// phase records the slot's listeners in listenBuf[:nListen], so
+	// resolve visits only them; delivIdx records which nodes resolve
+	// delivered into, letting the post-observe reset touch only those
+	// entries.
 	bank      RangeProtocol
 	acts      []Action
 	deliv     []Delivery
 	delivIdx  []int32
 	listenBuf []int32
-	segStats  []int64
+	nListen   int
 
 	// activity feed for reactive jammers (nil when the jammer is not an
 	// ActivitySink): broadcast count per global channel, reused per slot.
@@ -418,6 +414,10 @@ func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 		bcastNext: make([]int32, n),
 		touched:   make([]int32, 0, u),
 		bcasters:  make([]int32, 0, n),
+		acts:      make([]Action, n),
+		deliv:     make([]Delivery, n),
+		delivIdx:  make([]int32, n),
+		listenBuf: make([]int32, n),
 		nbr:       nw.Graph.NeighborMatrix(),
 		trace:     nw.Trace,
 	}
@@ -459,19 +459,14 @@ func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 		e.sink = sink
 		e.activity = make([]int, u)
 	}
-	if bank := detectRangeBank(protocols); bank != nil {
-		e.bank = bank
-		e.acts = make([]Action, n)
-		e.deliv = make([]Delivery, n)
-		e.delivIdx = make([]int32, n)
-		e.listenBuf = make([]int32, n)
-		e.segStats = make([]int64, 4*n)
-		// resolveRange keeps From=-1 as the steady-state content of
-		// every entry, writing (and afterwards resetting) only actual
-		// deliveries.
-		for i := range e.deliv {
-			e.deliv[i].From = -1
-		}
+	e.bank = detectRangeBank(protocols)
+	if e.bank == nil {
+		e.bank = &nodeBank{protocols: protocols}
+	}
+	// resolve keeps From=-1 as the steady-state content of every deliv
+	// entry, writing (and afterwards resetting) only actual deliveries.
+	for i := range e.deliv {
+		e.deliv[i].From = -1
 	}
 	return e, nil
 }
@@ -637,7 +632,7 @@ func (e *Engine) RunUntilCtx(ctx context.Context, maxSlots int64, stop func(slot
 	return e.stats, nil
 }
 
-// ctxCheckMask spaces out the engines' cancellation polls: a
+// ctxCheckMask spaces out the engine's cancellation polls: a
 // non-blocking channel select costs tens of nanoseconds, which is
 // comparable to a small slot, so polling every slot taxes the hot
 // loop measurably. Polling every 16th slot keeps cancellation latency
@@ -647,11 +642,10 @@ const ctxCheckMask = 15
 // step runs one full slot through the collect → index →
 // resolve/observe core.
 func (e *Engine) step() {
-	n := len(e.protocols)
 	e.applyTopology()
-	e.bcasters = e.collectActions(0, n, e.bcasters[:0])
+	e.bcasters = e.collect(e.bcasters[:0])
 	e.buildIndex(e.bcasters)
-	e.resolveAndObserve(0, n, &e.stats, &e.scratchMsg)
+	e.resolve()
 	e.feedActivity()
 	e.resetIndex()
 	e.refreshDone()
@@ -674,42 +668,6 @@ func (e *Engine) feedActivity() {
 	for _, ch := range e.touched {
 		e.activity[ch] = 0
 	}
-}
-
-// collectActions runs the collect phase over nodes [lo, hi),
-// appending the ids of broadcasting nodes to buf (the index phase's
-// input) and returning the extended slice. Callers pass a pre-sized
-// buffer so steady-state slots allocate nothing.
-func (e *Engine) collectActions(lo, hi int, buf []int32) []int32 {
-	if e.bank != nil {
-		return e.collectRange(lo, hi, buf)
-	}
-	// Hoist the hot slices into locals: the Act interface call forces
-	// field reloads otherwise.
-	assign := e.nw.Assign
-	slot := e.slot
-	state := e.state
-	kind := e.kind
-	data := e.data
-	globalCh := e.globalCh
-	protocols := e.protocols
-	for u := lo; u < hi; u++ {
-		if state[u] != nodeLive {
-			kind[u] = Idle
-			continue
-		}
-		a := protocols[u].Act(slot)
-		kind[u] = a.Kind
-		if a.Kind == Idle {
-			continue
-		}
-		globalCh[u] = assign.Global(u, a.Ch)
-		if a.Kind == Broadcast {
-			data[u] = a.Data
-			buf = append(buf, int32(u))
-		}
-	}
-	return buf
 }
 
 // buildIndex buckets this slot's broadcasters by global channel: the
@@ -777,17 +735,6 @@ func (e *Engine) resetIndex() {
 	e.rowsUsed = 0
 }
 
-// adjacent reports whether v is a neighbor of u: the cached dense
-// matrix when the graph built one, otherwise graph.Adjacent's sorted
-// binary search. Under a TopologyFeed both consult the engine's
-// mutable view.
-func (e *Engine) adjacent(u int, v int32) bool {
-	if e.nbr != nil {
-		return e.nbr.Get(u, int(v))
-	}
-	return e.g.Adjacent(u, int(v))
-}
-
 // baseAdjacent is adjacent against the untouched base topology, for
 // the partition-loss counterfactual. Only called when a TopologyFeed
 // is installed.
@@ -796,164 +743,6 @@ func (e *Engine) baseAdjacent(u int, v int32) bool {
 		return e.baseNbr.Get(u, int(v))
 	}
 	return e.baseG.Adjacent(u, int(v))
-}
-
-// resolveAndObserve is the resolve phase over nodes [lo, hi): it
-// consults the channel index to decide what each listener hears and
-// delivers exactly one Observe per live protocol. scratch backs every
-// delivered Message, which is why the Observe contract limits message
-// lifetime to the call.
-func (e *Engine) resolveAndObserve(lo, hi int, st *Stats, scratch *Message) {
-	if e.bank != nil {
-		e.resolveRange(lo, hi, st, scratch)
-		return
-	}
-	// Hoist the hot slices into locals: the Observe interface calls
-	// force field reloads otherwise. Counters accumulate in locals and
-	// fold into st once at the end, so the loop body never chases the
-	// Stats pointer.
-	g := e.g
-	jam := e.nw.Jammer
-	dynamic := e.topo != nil
-	slot := e.slot
-	state := e.state
-	kind := e.kind
-	data := e.data
-	globalCh := e.globalCh
-	protocols := e.protocols
-	chCount := e.chCount
-	chHead := e.chHead
-	bcastNext := e.bcastNext
-	nbr := e.nbr
-	rowOf := e.rowOf
-	rowBuf := e.rowBuf
-	stride := e.rowStride
-	var idles, bcasts, listens, deliveries, collisions, jammedL, downs, plosses int64
-	for u := lo; u < hi; u++ {
-		if state[u] != nodeLive {
-			if state[u] == nodeDown {
-				downs++
-			}
-			continue
-		}
-		switch kind[u] {
-		case Idle:
-			idles++
-			protocols[u].Observe(slot, nil)
-		case Broadcast:
-			bcasts++
-			protocols[u].Observe(slot, nil)
-		case Listen:
-			listens++
-			ch := globalCh[u]
-			if jam != nil && jam.Jammed(slot, ch) {
-				jammedL++
-				protocols[u].Observe(slot, nil)
-				continue
-			}
-			cnt := chCount[ch]
-			if cnt == 0 {
-				// Fast path: nobody anywhere broadcast on this channel.
-				protocols[u].Observe(slot, nil)
-				continue
-			}
-			talkers := 0
-			var from int32 = -1
-			var row []uint64
-			if ri := rowOf[ch]; ri >= 0 {
-				// Dense channel: resolve the whole channel with one
-				// AND/popcount sweep of the listener's adjacency row
-				// against the channel's broadcaster row.
-				row = rowBuf[int(ri)*stride : (int(ri)+1)*stride]
-				c, sole := bitset.AndCountSole(nbr.Row(u), row)
-				talkers = c
-				from = int32(sole)
-			} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
-				// Walk the channel's broadcaster list (covers the
-				// sole-talker case with a single adjacency probe).
-				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-					if e.adjacent(u, v) {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
-					}
-				}
-			} else {
-				// More broadcasters on the channel than the listener has
-				// neighbors: walk the neighbor list instead.
-				for _, v := range nbrs {
-					if kind[v] == Broadcast && globalCh[v] == ch {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
-					}
-				}
-			}
-			if dynamic && !e.sameAsBase(u) {
-				// Partition-loss counterfactual: would the base (static)
-				// topology have delivered a frame this listener-slot does
-				// not deliver? Resolves the same broadcaster set against
-				// base adjacency — dynamics-only cost, early exit at 2,
-				// skipped outright (sameAsBase) when nothing incident to
-				// the listener has churned, since then both resolutions
-				// are identical by construction.
-				baseTalkers := 0
-				var baseFrom int32 = -1
-				if row != nil && e.baseNbr != nil {
-					baseTalkers, baseFrom = e.baseCounterfactual(u, row)
-				} else {
-					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-						if e.baseAdjacent(u, v) {
-							baseTalkers++
-							if baseTalkers > 1 {
-								break
-							}
-							baseFrom = v
-						}
-					}
-				}
-				if baseTalkers == 1 && (talkers != 1 || from != baseFrom) {
-					plosses++
-				}
-			}
-			switch {
-			case talkers == 1:
-				deliveries++
-				scratch.From = NodeID(from)
-				scratch.Data = data[from]
-				if e.trace != nil {
-					e.trace(slot, NodeID(u), ch, scratch)
-				}
-				protocols[u].Observe(slot, scratch)
-			case talkers > 1:
-				collisions++
-				protocols[u].Observe(slot, nil)
-			default:
-				protocols[u].Observe(slot, nil)
-			}
-		default:
-			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", u, kind[u]))
-		}
-	}
-	st.Idles += idles
-	st.Broadcasts += bcasts
-	st.Listens += listens
-	st.Deliveries += deliveries
-	st.Collisions += collisions
-	st.JammedListens += jammedL
-	st.DownSlots += downs
-	st.PartitionLosses += plosses
-}
-
-// baseCounterfactual resolves a channel's broadcaster row against the
-// untouched base topology's adjacency row for listener u.
-func (e *Engine) baseCounterfactual(u int, row []uint64) (int, int32) {
-	c, sole := bitset.AndCountSole(e.baseNbr.Row(u), row)
-	return c, int32(sole)
 }
 
 // sameAsBase reports whether listener u's current adjacency row equals

@@ -277,9 +277,8 @@ func (p *randomProto) Observe(_ int64, msg *Message) {
 
 func (p *randomProto) Done() bool { return p.slots <= 0 }
 
-// runRandom runs the random-chatter workload on Engine.Run, or as a
-// BatchEngine replica when replica is set.
-func runRandom(t *testing.T, replica bool) ([][]NodeID, Stats) {
+// runRandom runs the random-chatter workload on Engine.Run.
+func runRandom(t *testing.T) ([][]NodeID, Stats) {
 	t.Helper()
 	master := rng.New(42)
 	g, err := graph.GNP(20, 0.3, rng.New(7))
@@ -290,7 +289,6 @@ func runRandom(t *testing.T, replica bool) ([][]NodeID, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := &Network{Graph: g, Assign: a}
 	protos := make([]Protocol, 20)
 	rps := make([]*randomProto, 20)
 	for i := range protos {
@@ -298,16 +296,11 @@ func runRandom(t *testing.T, replica bool) ([][]NodeID, Stats) {
 		rps[i] = rp
 		protos[i] = rp
 	}
-	var st Stats
-	if replica {
-		st = runAsReplica(t, nw, protos, 10000)
-	} else {
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = e.Run(10000)
+	e, err := NewEngine(&Network{Graph: g, Assign: a}, protos)
+	if err != nil {
+		t.Fatal(err)
 	}
+	st := e.Run(10000)
 	out := make([][]NodeID, 20)
 	for i, rp := range rps {
 		out[i] = rp.heard
@@ -316,8 +309,8 @@ func runRandom(t *testing.T, replica bool) ([][]NodeID, Stats) {
 }
 
 func TestSequentialDeterminism(t *testing.T) {
-	h1, s1 := runRandom(t, false)
-	h2, s2 := runRandom(t, false)
+	h1, s1 := runRandom(t)
+	h2, s2 := runRandom(t)
 	if s1 != s2 {
 		t.Fatalf("stats differ across identical runs: %+v vs %+v", s1, s2)
 	}
@@ -332,174 +325,6 @@ func TestSequentialDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelMatchesSequential: the workload run as a BatchEngine
-// replica, side by side with decoy replicas in one fused pass, matches
-// Engine.Run exactly — stats and every node's observation history.
-func TestParallelMatchesSequential(t *testing.T) {
-	hs, ss := runRandom(t, false)
-	hp, sp := runRandom(t, true)
-	if ss != sp {
-		t.Fatalf("stats differ: %+v vs %+v", ss, sp)
-	}
-	for i := range hs {
-		if len(hs[i]) != len(hp[i]) {
-			t.Fatalf("node %d heard %d vs %d", i, len(hs[i]), len(hp[i]))
-		}
-		for j := range hs[i] {
-			if hs[i][j] != hp[i][j] {
-				t.Fatalf("node %d observation %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestGoProtocolPingPong(t *testing.T) {
-	g := graph.Path(2)
-	nw := newTestNetwork(t, g, 1, 10)
-	var got []string
-	sender := NewGoProtocol(func(tr *Transceiver) {
-		tr.BroadcastOn(0, "ping")
-		if msg := tr.ListenOn(0); msg != nil {
-			got = append(got, msg.Data.(string))
-		}
-	})
-	receiver := NewGoProtocol(func(tr *Transceiver) {
-		if msg := tr.ListenOn(0); msg != nil {
-			got = append(got, msg.Data.(string))
-		}
-		tr.BroadcastOn(0, "pong")
-	})
-	e, err := NewEngine(nw, []Protocol{sender, receiver})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.Run(100)
-	if !st.Completed {
-		t.Fatal("goroutine protocols did not complete")
-	}
-	if st.Slots != 2 {
-		t.Errorf("Slots = %d, want 2", st.Slots)
-	}
-	if len(got) != 2 || got[0] != "ping" || got[1] != "pong" {
-		t.Errorf("exchanged %v, want [ping pong]", got)
-	}
-}
-
-func TestGoProtocolLastSlot(t *testing.T) {
-	g := graph.Path(2)
-	nw := newTestNetwork(t, g, 1, 11)
-	var slots []int64
-	p0 := NewGoProtocol(func(tr *Transceiver) {
-		tr.IdleSlot()
-		slots = append(slots, tr.LastSlot())
-		tr.IdleSlot()
-		slots = append(slots, tr.LastSlot())
-	})
-	p1 := NewGoProtocol(func(tr *Transceiver) {
-		tr.IdleSlot()
-	})
-	e, err := NewEngine(nw, []Protocol{p0, p1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Run(10).Completed {
-		t.Fatal("did not complete")
-	}
-	if len(slots) != 2 || slots[0] != 0 || slots[1] != 1 {
-		t.Errorf("slots = %v, want [0 1]", slots)
-	}
-}
-
-// TestGoProtocolMatchesStateMachine runs the same randomized logic as
-// both a state machine and a goroutine program and requires identical
-// observations.
-func TestGoProtocolMatchesStateMachine(t *testing.T) {
-	build := func(asGo bool) ([][]NodeID, Stats) {
-		master := rng.New(99)
-		g := graph.Star(6)
-		a, err := chanassign.Identical(6, 3, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw := &Network{Graph: g, Assign: a}
-		heard := make([][]NodeID, 6)
-		protos := make([]Protocol, 6)
-		for i := 0; i < 6; i++ {
-			i := i
-			r := master.Split(uint64(i))
-			if asGo {
-				protos[i] = NewGoProtocol(func(tr *Transceiver) {
-					for s := 0; s < 50; s++ {
-						var msg *Message
-						switch r.Intn(3) {
-						case 0:
-							tr.IdleSlot()
-						case 1:
-							msg = tr.ListenOn(r.Intn(3))
-						default:
-							tr.BroadcastOn(r.Intn(3), i)
-						}
-						if msg != nil {
-							heard[i] = append(heard[i], msg.From)
-						}
-					}
-				})
-			} else {
-				protos[i] = &rngDriven{r: r, c: 3, remaining: 50, sink: &heard[i]}
-			}
-		}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := e.Run(1000)
-		return heard, st
-	}
-	hSM, stSM := build(false)
-	hGo, stGo := build(true)
-	if stSM.Deliveries != stGo.Deliveries || stSM.Collisions != stGo.Collisions || stSM.Slots != stGo.Slots {
-		t.Fatalf("stats differ: %+v vs %+v", stSM, stGo)
-	}
-	for i := range hSM {
-		if len(hSM[i]) != len(hGo[i]) {
-			t.Fatalf("node %d heard %d vs %d", i, len(hSM[i]), len(hGo[i]))
-		}
-		for j := range hSM[i] {
-			if hSM[i][j] != hGo[i][j] {
-				t.Fatalf("node %d observation %d differs", i, j)
-			}
-		}
-	}
-}
-
-// rngDriven mirrors the goroutine body in TestGoProtocolMatchesStateMachine.
-type rngDriven struct {
-	r         *rng.Source
-	c         int
-	remaining int
-	sink      *[]NodeID
-}
-
-func (p *rngDriven) Act(_ int64) Action {
-	p.remaining--
-	switch p.r.Intn(3) {
-	case 0:
-		return Action{Kind: Idle}
-	case 1:
-		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
-	default:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: 0}
-	}
-}
-
-func (p *rngDriven) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		*p.sink = append(*p.sink, msg.From)
-	}
-}
-
-func (p *rngDriven) Done() bool { return p.remaining <= 0 }
 
 func TestInvalidActionKindPanics(t *testing.T) {
 	g := graph.Path(2)

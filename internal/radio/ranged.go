@@ -6,26 +6,24 @@ import (
 	"crn/internal/bitset"
 )
 
-// This file defines the optional batch-aware protocol ABI: a protocol
-// set backed by a shared "bank" can have its Act and Observe calls
-// dispatched over whole node ranges instead of one interface call per
-// node per slot. The per-node Protocol interface costs two virtual
-// calls per node-slot (~1.5µs per 64-node slot, see
-// BenchmarkProtocolInterfaceFloor), which dominates once the slot
-// kernel itself is vectorized; a RangeProtocol amortizes that dispatch
-// over a whole range with a single call, letting the implementation
-// run tight loops over flat per-node state.
+// This file holds the engine's one dispatch path, the range ABI: Act
+// and Observe calls are dispatched over whole node ranges instead of
+// one interface call per node per slot. A protocol set backed by a
+// shared "bank" implements the ABI itself and runs tight loops over
+// flat per-node state; any other protocol set is wrapped in nodeBank,
+// an adapter that makes the per-node calls, so collect and resolve
+// exist exactly once.
 //
 // # Detection rules
 //
-// The ABI is opt-in and detected per run: at construction the engine
-// probes every protocol for RangeNode. Range dispatch is used iff
-// every node's protocol reports the same (pointer-comparable) bank and
-// its own node index within it; any mismatch — a node that does not
-// implement RangeNode, a nil bank, a foreign bank, a wrong index —
-// silently falls back to per-node Act/Observe dispatch. Done, and the
-// optional FixedSchedule bound, remain per-node interface calls: they
-// are off the hot path (refreshDone is amortized by FixedSchedule).
+// At construction the engine probes every protocol for RangeNode. The
+// protocols' own bank is used iff every node's protocol reports the
+// same (pointer-comparable) bank and its own node index within it; any
+// mismatch — a node that does not implement RangeNode, a nil bank, a
+// foreign bank, a wrong index — silently selects the per-node adapter.
+// Done, and the optional FixedSchedule bound, remain per-node
+// interface calls: they are off the hot path (refreshDone is amortized
+// by FixedSchedule).
 //
 // # Range semantics
 //
@@ -96,118 +94,73 @@ func detectRangeBank(protocols []Protocol) RangeProtocol {
 	return bank
 }
 
-// RangeDispatch reports whether the engine selected the batch-aware
-// range ABI for this run (every protocol is a RangeNode view into one
-// shared bank). Diagnostic only — both dispatch modes are
-// byte-identical.
-func (e *Engine) RangeDispatch() bool { return e.bank != nil }
+// nodeBank adapts per-node protocols to the range ABI: ActRange and
+// ObserveRange make the per-node Act and Observe calls in ascending
+// node order. msg backs every delivered Message, which is why the
+// Observe contract limits message lifetime to the call.
+type nodeBank struct {
+	protocols []Protocol
+	msg       Message
+}
 
-// RangeDispatch reports whether replica r runs on the batch-aware
-// range ABI. Diagnostic only.
-func (e *BatchEngine) RangeDispatch(r int) bool { return e.banks[r] != nil }
+func (b *nodeBank) ActRange(slot int64, lo, hi int, acts []Action) {
+	for u := lo; u < hi; u++ {
+		acts[u] = b.protocols[u].Act(slot)
+	}
+}
+
+func (b *nodeBank) ObserveRange(slot int64, lo, hi int, deliveries []Delivery) {
+	for u := lo; u < hi; u++ {
+		d := &deliveries[u]
+		if d.From < 0 {
+			b.protocols[u].Observe(slot, nil)
+			continue
+		}
+		b.msg.From, b.msg.Data = d.From, d.Data
+		b.protocols[u].Observe(slot, &b.msg)
+	}
+}
+
+// RangeDispatch reports whether the protocols supplied one shared bank
+// (every protocol is a RangeNode view into it) rather than running
+// through the per-node adapter. Diagnostic only — both are
+// byte-identical.
+func (e *Engine) RangeDispatch() bool {
+	_, perNode := e.bank.(*nodeBank)
+	return !perNode
+}
 
 // allLive reports whether every node is guaranteed live this slot: no
 // topology feed (so nothing is ever down) and no protocol done yet.
-// The range phases use it to skip run detection and per-node state
-// checks — on a static engine this is the whole pre-completion
-// lifetime of a run, i.e. the hot path.
+// The phases use it to skip run detection and per-node state checks —
+// on a static engine this is the whole pre-completion lifetime of a
+// run, i.e. the hot path.
 func (e *Engine) allLive() bool { return e.topo == nil && e.nDone == 0 }
 
-// collectRange is the collect phase over [lo, hi) in range-dispatch
-// mode: one ActRange per maximal run of live nodes fills e.acts, and
-// the run's actions are folded into the SoA hot state right after the
-// call, while they are still cache-hot. The fold stays out of the
-// bank's own loop so the ABI implementation remains a tight pass over
-// flat per-node state.
+// collect is the collect phase: one ActRange per maximal run of live
+// nodes fills e.acts, and the run's actions are folded into the SoA
+// hot state right after the call, while they are still cache-hot. The
+// fold stays out of the bank's own loop so the ABI implementation
+// remains a tight pass over flat per-node state.
 //
-// The fold also classifies every node: it counts live idle/broadcast/
-// listen nodes (and down nodes), appends listeners to e.listenBuf at
-// offset lo, and stashes the four counts at e.segStats[4*lo:] for
-// resolveRange, which then visits only the listeners instead of
-// rescanning every node's kind. State cannot change between the two
-// phases (applyTopology and refreshDone run outside them), so the
-// collect-time classification is exactly what resolve would recompute.
-// An invalid action kind panics here rather than in resolve; the
-// message is the same.
-func (e *Engine) collectRange(lo, hi int, buf []int32) []int32 {
+// The fold also classifies every node: it counts idle/broadcast/listen
+// (and down) node-slots straight into the stats, appends broadcasters
+// to buf (the index phase's input) and listeners to e.listenBuf, so
+// resolve visits only the listeners instead of rescanning every node's
+// kind. State cannot change between the two phases (applyTopology and
+// refreshDone run outside them), so the collect-time classification is
+// exactly what resolve would recompute.
+func (e *Engine) collect(buf []int32) []int32 {
+	n := len(e.protocols)
+	e.nListen = 0
+	if e.allLive() {
+		e.bank.ActRange(e.slot, 0, n, e.acts)
+		return e.fold(0, n, buf)
+	}
 	state := e.state
 	kind := e.kind
-	acts := e.acts
-	slot := e.slot
-	assign := e.nw.Assign
-	data := e.data
-	globalCh := e.globalCh
-	listenBuf := e.listenBuf
-	var idles, bcasts, listens, downs int64
-	if e.allLive() {
-		// One run, no state loads: [lo, hi) is live end to end. The
-		// flat label table replaces Global's per-call guards with one
-		// validity compare (falling back to Global for the loud
-		// out-of-range panic).
-		e.bank.ActRange(slot, lo, hi, acts)
-		flat, fc := assign.Flat()
-		if flat != nil {
-			for v := lo; v < hi; v++ {
-				// Field loads through a pointer, not a struct copy:
-				// the Idle case then touches one byte of the 32-byte
-				// Action instead of copying all of it.
-				a := &acts[v]
-				k := a.Kind
-				kind[v] = k
-				switch k {
-				case Idle:
-					idles++
-				case Broadcast:
-					bcasts++
-					if uint(a.Ch) < uint(fc) {
-						globalCh[v] = flat[v*fc+a.Ch]
-					} else {
-						globalCh[v] = assign.Global(v, a.Ch)
-					}
-					data[v] = a.Data
-					buf = append(buf, int32(v))
-				case Listen:
-					if uint(a.Ch) < uint(fc) {
-						globalCh[v] = flat[v*fc+a.Ch]
-					} else {
-						globalCh[v] = assign.Global(v, a.Ch)
-					}
-					listenBuf[lo+int(listens)] = int32(v)
-					listens++
-				default:
-					panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
-				}
-			}
-		} else {
-			for v := lo; v < hi; v++ {
-				a := &acts[v]
-				k := a.Kind
-				kind[v] = k
-				switch k {
-				case Idle:
-					idles++
-					continue
-				case Broadcast:
-					bcasts++
-					data[v] = a.Data
-					buf = append(buf, int32(v))
-				case Listen:
-					listenBuf[lo+int(listens)] = int32(v)
-					listens++
-				default:
-					panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
-				}
-				globalCh[v] = assign.Global(v, a.Ch)
-			}
-		}
-		base := 4 * lo
-		e.segStats[base] = idles
-		e.segStats[base+1] = bcasts
-		e.segStats[base+2] = listens
-		e.segStats[base+3] = downs
-		return buf
-	}
-	for u := lo; u < hi; {
+	var downs int64
+	for u := 0; u < n; {
 		if state[u] != nodeLive {
 			if state[u] == nodeDown {
 				downs++
@@ -216,62 +169,84 @@ func (e *Engine) collectRange(lo, hi int, buf []int32) []int32 {
 			u++
 			continue
 		}
-		runLo := u
-		for u < hi && state[u] == nodeLive {
+		lo := u
+		for u < n && state[u] == nodeLive {
 			u++
 		}
-		e.bank.ActRange(slot, runLo, u, acts)
-		for v := runLo; v < u; v++ {
-			a := &acts[v]
-			k := a.Kind
-			kind[v] = k
-			switch k {
-			case Idle:
-				idles++
-				continue
-			case Broadcast:
-				bcasts++
-				data[v] = a.Data
-				buf = append(buf, int32(v))
-			case Listen:
-				listenBuf[lo+int(listens)] = int32(v)
-				listens++
-			default:
-				panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
-			}
-			globalCh[v] = assign.Global(v, a.Ch)
-		}
+		e.bank.ActRange(e.slot, lo, u, e.acts)
+		buf = e.fold(lo, u, buf)
 	}
-	base := 4 * lo
-	e.segStats[base] = idles
-	e.segStats[base+1] = bcasts
-	e.segStats[base+2] = listens
-	e.segStats[base+3] = downs
+	e.stats.DownSlots += downs
 	return buf
 }
 
-// resolveRange is the resolve phase over [lo, hi) in range-dispatch
-// mode: the same per-listener resolution as resolveAndObserve, writing
-// outcomes into e.deliv instead of calling Observe per node, followed
-// by one ObserveRange per maximal run of live nodes. Resolution reads
-// only the channel index and the topology, both immutable during the
-// phase, so deferring the observes to the end of the range cannot
-// change any resolution — and traces still fire
-// per delivery in ascending node order, byte-identical to per-node
-// dispatch.
+// fold copies the actions of live nodes [lo, hi) into the SoA hot
+// state. The flat label table replaces Global's per-call guards with
+// one validity compare (falling back to Global for the loud
+// out-of-range panic, and everywhere when the assignment has no flat
+// table: fc is 0 then). An invalid action kind panics here.
+func (e *Engine) fold(lo, hi int, buf []int32) []int32 {
+	acts := e.acts
+	kind := e.kind
+	data := e.data
+	globalCh := e.globalCh
+	listenBuf := e.listenBuf
+	assign := e.nw.Assign
+	flat, fc := assign.Flat()
+	listens := e.nListen
+	var idles, bcasts int64
+	for v := lo; v < hi; v++ {
+		// Field loads through a pointer, not a struct copy: the Idle
+		// case then touches one byte of the 32-byte Action instead of
+		// copying all of it.
+		a := &acts[v]
+		k := a.Kind
+		kind[v] = k
+		switch k {
+		case Idle:
+			idles++
+			continue
+		case Broadcast:
+			bcasts++
+			data[v] = a.Data
+			buf = append(buf, int32(v))
+		case Listen:
+			listenBuf[listens] = int32(v)
+			listens++
+		default:
+			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
+		}
+		if uint(a.Ch) < uint(fc) {
+			globalCh[v] = flat[v*fc+a.Ch]
+		} else {
+			globalCh[v] = assign.Global(v, a.Ch)
+		}
+	}
+	e.stats.Idles += idles
+	e.stats.Broadcasts += bcasts
+	e.stats.Listens += int64(listens - e.nListen)
+	e.nListen = listens
+	return buf
+}
+
+// resolve is the resolve/observe phase: it consults the channel index
+// to decide what each listener collect recorded hears, writes the
+// outcomes into e.deliv, then makes one ObserveRange per maximal run
+// of live nodes. Resolution reads only the channel index and the
+// topology, both immutable during the phase, so deferring the
+// observes to the end cannot change any resolution; traces fire per
+// delivery in ascending listener order, before the slot's observes.
 //
 // e.deliv holds From=-1 for every node outside this phase (set up at
 // construction), so only actual deliveries are written before the
 // ObserveRange calls — and only those entries are reset to -1 (and
 // nil Data) afterwards. Most node-slots hear nothing; paying one
-// 24-byte store per delivery instead of one per live node is a large
-// share of the range path's speedup over per-node dispatch.
-func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
+// 24-byte store per delivery instead of one per live node matters.
+func (e *Engine) resolve() {
 	g := e.g
 	jam := e.nw.Jammer
 	dynamic := e.topo != nil
 	slot := e.slot
-	state := e.state
 	kind := e.kind
 	data := e.data
 	globalCh := e.globalCh
@@ -284,37 +259,35 @@ func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
 	stride := e.rowStride
 	deliv := e.deliv
 	delivIdx := e.delivIdx
-	listenBuf := e.listenBuf
+	listeners := e.listenBuf[:e.nListen]
 	trace := e.trace
-	live := e.allLive()
-	base := 4 * lo
-	idles := e.segStats[base]
-	bcasts := e.segStats[base+1]
-	nListen := e.segStats[base+2]
-	downs := e.segStats[base+3]
 	var deliveries, collisions, jammedL, plosses int64
-	// collectRange already classified every node in [lo, hi); only the
-	// listeners it recorded need resolution. The first loop is the
-	// specialized steady-state body — no jammer, static topology, no
-	// trace — so none of those per-listener flag checks sit on the hot
-	// path; anything else drops to the general loop below, which is the
-	// same resolution with the full checks.
+	// The first loop is the specialized steady-state body — no jammer,
+	// static topology, no trace — so none of those per-listener flag
+	// checks sit on the hot path; anything else drops to the general
+	// loop below, which is the same resolution with the full checks.
 	if jam == nil && !dynamic && trace == nil {
-		for i := lo; i < lo+int(nListen); i++ {
-			u := int(listenBuf[i])
+		for _, u32 := range listeners {
+			u := int(u32)
 			ch := globalCh[u]
 			cnt := chCount[ch]
 			if cnt == 0 {
+				// Nobody anywhere broadcast on this channel.
 				continue
 			}
 			talkers := 0
 			var from int32 = -1
 			if ri := rowOf[ch]; ri >= 0 {
+				// Dense channel: resolve the whole channel with one
+				// AND/popcount sweep of the listener's adjacency row
+				// against the channel's broadcaster row.
 				row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
 				c, sole := bitset.AndCountSole(nbr.Row(u), row)
 				talkers = c
 				from = int32(sole)
 			} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
+				// Walk the channel's broadcaster list (covers the
+				// sole-talker case with a single adjacency probe).
 				if nbr != nil {
 					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
 						if nbr.Get(u, int(v)) {
@@ -337,6 +310,8 @@ func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
 					}
 				}
 			} else {
+				// More broadcasters on the channel than the listener
+				// has neighbors: walk the neighbor list instead.
 				for _, v := range nbrs {
 					if kind[v] == Broadcast && globalCh[v] == ch {
 						talkers++
@@ -349,7 +324,7 @@ func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
 			}
 			switch {
 			case talkers == 1:
-				delivIdx[lo+int(deliveries)] = int32(u)
+				delivIdx[deliveries] = int32(u)
 				deliveries++
 				deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
 			case talkers > 1:
@@ -358,8 +333,8 @@ func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
 		}
 		goto observe
 	}
-	for i := lo; i < lo+int(nListen); i++ {
-		u := int(listenBuf[i])
+	for _, u32 := range listeners {
+		u := int(u32)
 		ch := globalCh[u]
 		if jam != nil && jam.Jammed(slot, ch) {
 			jammedL++
@@ -411,10 +386,18 @@ func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
 			}
 		}
 		if dynamic && !e.sameAsBase(u) {
+			// Partition-loss counterfactual: would the base (static)
+			// topology have delivered a frame this listener-slot does
+			// not deliver? Resolves the same broadcaster set against
+			// base adjacency — dynamics-only cost, early exit at 2,
+			// skipped outright (sameAsBase) when nothing incident to
+			// the listener has churned, since then both resolutions
+			// are identical by construction.
 			baseTalkers := 0
 			var baseFrom int32 = -1
 			if row != nil && e.baseNbr != nil {
-				baseTalkers, baseFrom = e.baseCounterfactual(u, row)
+				c, sole := bitset.AndCountSole(e.baseNbr.Row(u), row)
+				baseTalkers, baseFrom = c, int32(sole)
 			} else {
 				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
 					if e.baseAdjacent(u, v) {
@@ -432,45 +415,42 @@ func (e *Engine) resolveRange(lo, hi int, st *Stats, scratch *Message) {
 		}
 		switch {
 		case talkers == 1:
-			delivIdx[lo+int(deliveries)] = int32(u)
+			delivIdx[deliveries] = int32(u)
 			deliveries++
 			deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
 			if trace != nil {
-				scratch.From = NodeID(from)
-				scratch.Data = data[from]
-				trace(slot, NodeID(u), ch, scratch)
+				e.traceMsg.From = NodeID(from)
+				e.traceMsg.Data = data[from]
+				trace(slot, NodeID(u), ch, &e.traceMsg)
 			}
 		case talkers > 1:
 			collisions++
 		}
 	}
 observe:
-	if live {
-		e.bank.ObserveRange(slot, lo, hi, deliv)
+	if n := len(e.protocols); e.allLive() {
+		e.bank.ObserveRange(slot, 0, n, deliv)
 	} else {
-		for u := lo; u < hi; {
+		state := e.state
+		for u := 0; u < n; {
 			if state[u] != nodeLive {
 				u++
 				continue
 			}
-			runLo := u
-			for u < hi && state[u] == nodeLive {
+			lo := u
+			for u < n && state[u] == nodeLive {
 				u++
 			}
-			e.bank.ObserveRange(slot, runLo, u, deliv)
+			e.bank.ObserveRange(slot, lo, u, deliv)
 		}
 	}
 	// Restore the From=-1 invariant (and drop payload references) on
-	// exactly the entries this segment delivered into.
-	for i := lo; i < lo+int(deliveries); i++ {
-		deliv[delivIdx[i]] = Delivery{From: -1}
+	// exactly the entries this slot delivered into.
+	for _, u := range delivIdx[:deliveries] {
+		deliv[u] = Delivery{From: -1}
 	}
-	st.Idles += idles
-	st.Broadcasts += bcasts
-	st.Listens += nListen
-	st.Deliveries += deliveries
-	st.Collisions += collisions
-	st.JammedListens += jammedL
-	st.DownSlots += downs
-	st.PartitionLosses += plosses
+	e.stats.Deliveries += deliveries
+	e.stats.Collisions += collisions
+	e.stats.JammedListens += jammedL
+	e.stats.PartitionLosses += plosses
 }

@@ -9,12 +9,25 @@ import (
 	"crn/internal/rng"
 )
 
-// This file locks down the batch-aware range ABI: an engine whose
-// protocols share a bank must produce byte-identical outcomes — stats,
-// traces, per-node observations — to the same protocols on per-node
-// dispatch, across static, jammed and dynamic (churn + flap) networks
-// and at every worker count. It also pins the detection rules and the
-// range path's zero-alloc steady state.
+// This file locks down the range ABI: an engine whose protocols share
+// a bank must produce byte-identical outcomes — stats, traces,
+// per-node observations — to the same protocols behind the per-node
+// adapter, across static, jammed and dynamic (churn + flap) networks.
+// It also pins the detection rules and the range path's zero-alloc
+// steady state.
+
+type traceEvent struct {
+	slot     int64
+	listener NodeID
+	ch       int32
+	from     NodeID
+}
+
+func traceRecorder(dst *[]traceEvent) TraceFunc {
+	return func(slot int64, listener NodeID, ch int32, msg *Message) {
+		*dst = append(*dst, traceEvent{slot, listener, ch, msg.From})
+	}
+}
 
 // bankedProto is randomProto with an optional bank view: the same rng
 // draw order and observation bookkeeping on both dispatch modes.
@@ -137,10 +150,9 @@ func churnFlapFeed(g *graph.Graph, seed uint64) TopologyFeed {
 }
 
 // TestEngineRangeDispatchMatchesPerNode: for static, jammed and
-// dynamic networks, on Engine.Run and as a BatchEngine replica, the
-// range ABI produces
-// byte-identical stats, traces and per-node observations to per-node
-// dispatch on the same seed.
+// dynamic networks, a shared bank produces byte-identical stats,
+// traces and per-node observations to the same protocols behind the
+// per-node adapter on the same seed.
 func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
 	g, a := rangedFixture(t)
 	const n, c, slots = 24, 5, 400
@@ -156,60 +168,53 @@ func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(banked, replica bool) (Stats, string, []traceEvent) {
+			run := func(banked bool) (Stats, string, []traceEvent) {
 				var trace []traceEvent
 				nw := &Network{Graph: g, Assign: a, Jammer: sc.jam, Trace: traceRecorder(&trace)}
 				if sc.dynamic {
 					nw.Topology = churnFlapFeed(g, 0xFEED)
 				}
 				protos, views := mkBankedSet(n, c, rng.New(42), banked)
-				var st Stats
-				if replica {
-					st = runAsReplica(t, nw, protos, slots)
-				} else {
-					e, err := NewEngine(nw, protos)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if e.RangeDispatch() != banked {
-						t.Fatalf("banked=%v but RangeDispatch=%v", banked, e.RangeDispatch())
-					}
-					st = e.Run(slots)
+				e, err := NewEngine(nw, protos)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if e.RangeDispatch() != banked {
+					t.Fatalf("banked=%v but RangeDispatch=%v", banked, e.RangeDispatch())
+				}
+				st := e.Run(slots)
 				fp := ""
 				for _, v := range views {
 					fp += v.fingerprint()
 				}
 				return st, fp, trace
 			}
-			wantStats, wantFP, wantTrace := run(false, false)
+			wantStats, wantFP, wantTrace := run(false)
 			if sc.dynamic && (wantStats.DownSlots == 0 || wantStats.EdgeAdds+wantStats.EdgeRemoves == 0) {
 				t.Fatalf("dynamic scenario applied no dynamics: %+v", wantStats)
 			}
-			for _, replica := range []bool{false, true} {
-				gotStats, gotFP, gotTrace := run(true, replica)
-				if gotStats != wantStats {
-					t.Errorf("replica=%v stats:\n range    %+v\n per-node %+v", replica, gotStats, wantStats)
-				}
-				if gotFP != wantFP {
-					t.Errorf("replica=%v per-node observations diverged", replica)
-				}
-				if len(gotTrace) != len(wantTrace) {
-					t.Fatalf("%d trace events on range path, %d on per-node", len(gotTrace), len(wantTrace))
-				}
-				for i := range wantTrace {
-					if gotTrace[i] != wantTrace[i] {
-						t.Fatalf("trace event %d: range %+v, per-node %+v", i, gotTrace[i], wantTrace[i])
-					}
+			gotStats, gotFP, gotTrace := run(true)
+			if gotStats != wantStats {
+				t.Errorf("stats:\n bank    %+v\n adapter %+v", gotStats, wantStats)
+			}
+			if gotFP != wantFP {
+				t.Error("per-node observations diverged")
+			}
+			if len(gotTrace) != len(wantTrace) {
+				t.Fatalf("%d trace events from the bank, %d from the adapter", len(gotTrace), len(wantTrace))
+			}
+			for i := range wantTrace {
+				if gotTrace[i] != wantTrace[i] {
+					t.Fatalf("trace event %d: bank %+v, adapter %+v", i, gotTrace[i], wantTrace[i])
 				}
 			}
 		})
 	}
 }
 
-// TestRangeBankDetectionRules pins the opt-in rules: range dispatch is
-// selected iff every protocol reports the same bank at its own index;
-// any defect silently falls back to per-node dispatch.
+// TestRangeBankDetectionRules pins the opt-in rules: the protocols'
+// bank is selected iff every protocol reports the same bank at its own
+// index; any defect silently falls back to the per-node adapter.
 func TestRangeBankDetectionRules(t *testing.T) {
 	mk := func(banked bool) []Protocol {
 		protos, _ := mkBankedSet(8, 3, rng.New(1), banked)
@@ -317,140 +322,5 @@ func TestEngineRangeDispatchZeroAllocsPerSlot(t *testing.T) {
 				t.Fatalf("workload did not exercise delivery+collision paths: %+v", st)
 			}
 		})
-	}
-}
-
-// TestBatchEngineDynamicMatchesSoloEngines extends the batch engine's
-// replica-equivalence guarantee to dynamic topologies: a batch mixing
-// static and dynamic replicas (per-replica churn + flap feeds, one
-// replica jammed) must produce byte-identical stats — including the
-// topology counters — traces and protocol outcomes to running each
-// replica alone on a sequential Engine with the same feed script.
-func TestBatchEngineDynamicMatchesSoloEngines(t *testing.T) {
-	g, a := rangedFixture(t)
-	const n, c, b, slots = 24, 5, 4, 400
-	mkFeed := func(r int) TopologyFeed {
-		if r == 0 {
-			return nil // one static replica in the mix
-		}
-		return churnFlapFeed(g, 0xBEEF+uint64(r))
-	}
-	mkJam := func(r int) Jammer {
-		if r == 2 {
-			return parityJammer{}
-		}
-		return nil
-	}
-
-	reps := make([]Replica, b)
-	batchTraces := make([][]traceEvent, b)
-	batchViews := make([][]*bankedProto, b)
-	for r := range reps {
-		protos, views := mkBankedSet(n, c, rng.New(100+uint64(r)), false)
-		batchViews[r] = views
-		reps[r] = Replica{
-			Protocols: protos,
-			Jammer:    mkJam(r),
-			Trace:     traceRecorder(&batchTraces[r]),
-			Topology:  mkFeed(r),
-		}
-	}
-	be, err := NewBatchEngine(g, a, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchStats := be.Run(slots)
-
-	sawDynamics := false
-	for r := 0; r < b; r++ {
-		protos, views := mkBankedSet(n, c, rng.New(100+uint64(r)), false)
-		var soloTrace []traceEvent
-		nw := &Network{Graph: g, Assign: a, Jammer: mkJam(r), Trace: traceRecorder(&soloTrace), Topology: mkFeed(r)}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		soloStats := e.Run(slots)
-		if soloStats.DownSlots > 0 {
-			sawDynamics = true
-		}
-		if batchStats[r] != soloStats {
-			t.Errorf("replica %d stats:\n batch %+v\n solo  %+v", r, batchStats[r], soloStats)
-		}
-		if len(batchTraces[r]) != len(soloTrace) {
-			t.Fatalf("replica %d: %d batch trace events, %d solo", r, len(batchTraces[r]), len(soloTrace))
-		}
-		for i := range soloTrace {
-			if batchTraces[r][i] != soloTrace[i] {
-				t.Fatalf("replica %d trace event %d: batch %+v, solo %+v", r, i, batchTraces[r][i], soloTrace[i])
-			}
-		}
-		for u := range views {
-			if batchViews[r][u].fingerprint() != views[u].fingerprint() {
-				t.Fatalf("replica %d node %d observations diverged", r, u)
-			}
-		}
-	}
-	if !sawDynamics {
-		t.Fatal("no replica saw down-node slots; fixture too tame")
-	}
-}
-
-// TestBatchEngineRangeMatchesPerNode: banked replicas (range
-// dispatch) inside a batch — static and dynamic — are byte-identical
-// to the same replicas on per-node dispatch.
-func TestBatchEngineRangeMatchesPerNode(t *testing.T) {
-	g, a := rangedFixture(t)
-	const n, c, b, slots = 24, 5, 3, 400
-	mkFeed := func(r int) TopologyFeed {
-		if r == 0 {
-			return nil
-		}
-		return churnFlapFeed(g, 0xCAFE+uint64(r))
-	}
-	run := func(banked bool) ([]Stats, []string, [][]traceEvent) {
-		reps := make([]Replica, b)
-		traces := make([][]traceEvent, b)
-		views := make([][]*bankedProto, b)
-		for r := range reps {
-			protos, vs := mkBankedSet(n, c, rng.New(200+uint64(r)), banked)
-			views[r] = vs
-			reps[r] = Replica{Protocols: protos, Trace: traceRecorder(&traces[r]), Topology: mkFeed(r)}
-		}
-		be, err := NewBatchEngine(g, a, reps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < b; r++ {
-			if be.RangeDispatch(r) != banked {
-				t.Fatalf("replica %d: banked=%v but RangeDispatch=%v", r, banked, be.RangeDispatch(r))
-			}
-		}
-		stats := be.Run(slots)
-		fps := make([]string, b)
-		for r := range views {
-			for _, v := range views[r] {
-				fps[r] += v.fingerprint()
-			}
-		}
-		return stats, fps, traces
-	}
-	wantStats, wantFPs, wantTraces := run(false)
-	gotStats, gotFPs, gotTraces := run(true)
-	for r := 0; r < b; r++ {
-		if gotStats[r] != wantStats[r] {
-			t.Errorf("replica %d stats:\n range    %+v\n per-node %+v", r, gotStats[r], wantStats[r])
-		}
-		if gotFPs[r] != wantFPs[r] {
-			t.Errorf("replica %d observations diverged", r)
-		}
-		if len(gotTraces[r]) != len(wantTraces[r]) {
-			t.Fatalf("replica %d: %d range trace events, %d per-node", r, len(gotTraces[r]), len(wantTraces[r]))
-		}
-		for i := range wantTraces[r] {
-			if gotTraces[r][i] != wantTraces[r][i] {
-				t.Fatalf("replica %d trace event %d: range %+v, per-node %+v", r, i, gotTraces[r][i], wantTraces[r][i])
-			}
-		}
 	}
 }

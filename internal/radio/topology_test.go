@@ -172,80 +172,6 @@ func TestTopologyFeedChurn(t *testing.T) {
 	}
 }
 
-// TestTopologyFeedCrossEngineEquivalence: a feed mixing churn and
-// edge flapping produces identical stats and protocol outcomes under
-// Engine.Run and as a BatchEngine replica (a private dynamic clone
-// beside static decoy replicas) — the dynamics analogue of the
-// spectrum cross-engine suite.
-func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
-	const n, c, slots = 16, 3, 400
-	g, err := graph.GNP(n, 0.35, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := chanassign.Identical(n, c, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := g.Edges()
-	mkFeed := func() TopologyFeed {
-		r := rng.New(77)
-		return &scriptFeed{steps: func(slot int64, mut TopologyMutator) {
-			// Deterministic pseudo-random churn + flap per slot.
-			u := r.Intn(n)
-			if r.Bernoulli(0.1) {
-				mut.SetNodeUp(u, !mut.NodeUp(u))
-			}
-			ei := r.Intn(len(edges))
-			if r.Bernoulli(0.2) {
-				e := edges[ei]
-				if mut.HasEdge(int(e.U), int(e.V)) {
-					mut.RemoveEdge(int(e.U), int(e.V))
-				} else {
-					mut.AddEdge(int(e.U), int(e.V))
-				}
-			}
-		}}
-	}
-	run := func(replica bool) (Stats, string) {
-		master := rng.New(9)
-		protos := make([]Protocol, n)
-		seeks := make([]*seekLike, n)
-		for u := 0; u < n; u++ {
-			sk := &seekLike{id: NodeID(u), c: c, r: master.Split(uint64(u))}
-			seeks[u] = sk
-			protos[u] = sk
-		}
-		nw := &Network{Graph: g, Assign: a, Topology: mkFeed()}
-		var st Stats
-		if replica {
-			st = runAsReplica(t, nw, protos, slots)
-		} else {
-			e, err := NewEngine(nw, protos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st = e.Run(slots)
-		}
-		fp := ""
-		for _, sk := range seeks {
-			fp += sk.fingerprint()
-		}
-		return st, fp
-	}
-	wantStats, wantFP := run(false)
-	if wantStats.EdgeAdds+wantStats.EdgeRemoves == 0 || wantStats.DownSlots == 0 {
-		t.Fatalf("feed applied no dynamics: %+v", wantStats)
-	}
-	gotStats, gotFP := run(true)
-	if gotStats != wantStats {
-		t.Errorf("batch replica stats = %+v, want %+v", gotStats, wantStats)
-	}
-	if gotFP != wantFP {
-		t.Errorf("batch replica protocol outcomes diverged")
-	}
-}
-
 // statefulFeed mimics a persistent dynamics model across engines: it
 // takes node 2 down at its third Step and thereafter reconciles that
 // state declaratively into whatever mutator it is handed.
@@ -336,42 +262,4 @@ func TestStaticEngineSkipsDynamicView(t *testing.T) {
 	if ed.dyn == nil || ed.g == g || ed.baseG != g {
 		t.Error("dynamic engine did not build its private view over the base graph")
 	}
-}
-
-// seekLike is a small discovery-ish protocol whose outcome
-// fingerprints the whole delivery history.
-type seekLike struct {
-	id    NodeID
-	c     int
-	r     *rng.Source
-	heard []NodeID
-	slots int64
-}
-
-func (s *seekLike) Act(_ int64) Action {
-	s.slots++
-	switch s.r.Intn(3) {
-	case 0:
-		return Action{Kind: Broadcast, Ch: s.r.Intn(s.c), Data: int(s.id)}
-	case 1:
-		return Action{Kind: Listen, Ch: s.r.Intn(s.c)}
-	default:
-		return Action{Kind: Idle}
-	}
-}
-
-func (s *seekLike) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		s.heard = append(s.heard, msg.From)
-	}
-}
-
-func (s *seekLike) Done() bool { return false }
-
-func (s *seekLike) fingerprint() string {
-	out := ""
-	for _, id := range s.heard {
-		out += string(rune('A' + int(id)))
-	}
-	return out + ";"
 }

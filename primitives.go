@@ -61,12 +61,6 @@ func (p discoveryPrimitive) Run(ctx context.Context, s *Scenario, seed uint64) (
 	return runDiscovery(ctx, s, p.Name(), p.mk(s), nil, seed)
 }
 
-// RunBatch implements batchRunner: the sweep engine fuses several
-// same-scenario runs into one radio.BatchEngine pass.
-func (p discoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []uint64) ([]*Result, error) {
-	return runDiscoveryBatch(ctx, s, p.Name(), p.mk(s), nil, seeds)
-}
-
 // KDiscovery returns the k̂-neighbor-discovery primitive (CKSEEK,
 // Theorem 6): every node finds (at least) all neighbors sharing at
 // least khat channels with it. The result counts only those "good"
@@ -112,23 +106,8 @@ func (p kDiscoveryPrimitive) Run(ctx context.Context, s *Scenario, seed uint64) 
 	return runDiscovery(ctx, s, p.Name(), mk, targets, seed)
 }
 
-// RunBatch implements batchRunner, computing the target sets once for
-// the whole batch.
-func (p kDiscoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []uint64) ([]*Result, error) {
-	targets, deltaKhat, err := p.khatTargets(s)
-	if err != nil {
-		return nil, err
-	}
-	mk := func(env core.Env) (core.Discoverer, error) {
-		return core.NewCKSeek(s.p, env, p.khat, deltaKhat)
-	}
-	return runDiscoveryBatch(ctx, s, p.Name(), mk, targets, seeds)
-}
-
 // discoveryRun is one prepared discovery run: protocols built, network
-// resolved, goal-predicate state initialized. The same preparation
-// backs both the sequential path (one Engine per run) and the batched
-// path (many runs fused into one BatchEngine pass).
+// resolved, goal-predicate state initialized.
 type discoveryRun struct {
 	s       *Scenario
 	name    string
@@ -343,55 +322,6 @@ func runDiscovery(ctx context.Context, s *Scenario, name string, mk func(core.En
 		return nil, err
 	}
 	return dr.finish(st), nil
-}
-
-// runDiscoveryBatch executes one discovery run per seed over the same
-// scenario through a single radio.BatchEngine pass: the graph,
-// assignment and engine scratch are shared across the batch, and every
-// run's outcome is byte-identical to runDiscovery with the same seed
-// (the batch engine's replica-isolation guarantee).
-//
-// Dynamic topologies batch too: prepareDiscovery installs a fresh
-// run-scoped TopologyFeed per run (Scenario.runNetwork), and the batch
-// engine gives each such replica a private mutable graph clone —
-// exactly what a sequential Engine would have built. A single-run
-// batch gains nothing from fusing and runs sequentially.
-func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, mk func(core.Env) (core.Discoverer, error), targets []map[radio.NodeID]bool, seeds []uint64) ([]*Result, error) {
-	results := make([]*Result, len(seeds))
-	if len(seeds) == 1 {
-		for i, seed := range seeds {
-			res, err := runDiscovery(ctx, s, name, mk, targets, seed)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-	drs := make([]*discoveryRun, len(seeds))
-	reps := make([]radio.Replica, len(seeds))
-	for i, seed := range seeds {
-		dr, err := prepareDiscovery(s, name, mk, targets, seed)
-		if err != nil {
-			return nil, err
-		}
-		drs[i] = dr
-		reps[i] = radio.Replica{Protocols: dr.protos, Jammer: dr.nw.Jammer, Trace: dr.nw.Trace, Topology: dr.nw.Topology}
-	}
-	be, err := radio.NewBatchEngine(s.g, s.a, reps)
-	if err != nil {
-		return nil, err
-	}
-	sts, err := be.RunCtx(ctx, drs[0].maxSlots(), func(r int, slot int64) bool {
-		return drs[r].stop(slot)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, dr := range drs {
-		results[i] = dr.finish(sts[i])
-	}
-	return results, nil
 }
 
 // topologyDetail maps engine counters into the Result envelope's

@@ -238,34 +238,4 @@ type SweepResult struct {
 	Aggregates []Aggregate `json:"aggregates"`
 	// Runs holds every run in deterministic (variant, index) order.
 	Runs []Run `json:"runs"`
-	// Batching reports how the sweep's Batch request was actually
-	// executed — whether the primitive supports fused batch passes and
-	// how many runs went through them. It describes execution strategy,
-	// not outcome, so it is deliberately excluded from the JSON shape:
-	// batched and sequential sweeps must stay byte-identical on the
-	// wire. Nil when the sweep was assembled by MergeShards (shards
-	// report their own execution locally).
-	Batching *BatchingInfo `json:"-"`
 }
-
-// BatchingInfo describes how SweepSpec.Batch was honored. Before this
-// report existed, a spec could silently fall back to sequential runs
-// (e.g. every dynamic-topology sweep did); now the facade states what
-// actually happened.
-type BatchingInfo struct {
-	// Requested is SweepSpec.Batch as given.
-	Requested int
-	// Supported reports whether the primitive implements fused batch
-	// execution at all.
-	Supported bool
-	// BatchedRuns counts runs executed inside a fused multi-run engine
-	// pass; SequentialRuns counts runs executed one engine at a time
-	// (including size-1 chunks at variant boundaries). They sum to the
-	// sweep's total runs.
-	BatchedRuns    int
-	SequentialRuns int
-}
-
-// Used reports whether any run actually executed through a fused
-// batch pass.
-func (b *BatchingInfo) Used() bool { return b != nil && b.BatchedRuns > 0 }

@@ -46,25 +46,6 @@ type SweepSpec struct {
 	// each run's Metrics, and large sweeps would otherwise hold
 	// O(runs × n × degree) of detail until the sweep returns.
 	KeepResults bool
-	// Batch, when > 1, feeds up to Batch same-variant runs through one
-	// fused engine pass (radio.BatchEngine) per worker task, amortizing
-	// graph, assignment and engine scratch across the batch. It only
-	// applies when the primitive supports batching (the discovery
-	// primitives, on static and dynamic topologies alike) and is a pure
-	// execution strategy: results and aggregates are byte-identical to
-	// Batch == 0 at any worker count, which the batch engine's replica
-	// isolation guarantees and the test suite enforces. Whether batching
-	// was actually used is reported in SweepResult.Batching.
-	Batch int
-}
-
-// batchRunner is implemented by primitives that can execute several
-// same-scenario runs through one fused engine pass. The contract is
-// strict: RunBatch(ctx, s, seeds)[i] must be byte-identical to Run(ctx,
-// s, seeds[i]) for every i — batching is an execution strategy, never a
-// model change.
-type batchRunner interface {
-	RunBatch(ctx context.Context, s *Scenario, seeds []uint64) ([]*Result, error)
 }
 
 // resolvedSweep is a validated SweepSpec: variant names and scenarios
@@ -147,54 +128,6 @@ func (rs *resolvedSweep) runFor(job int) Run {
 	}
 }
 
-// jobChunk is a contiguous range of same-variant job offsets handed to
-// one worker task: [k0, k1) within the executeJobs window.
-type jobChunk struct{ k0, k1 int }
-
-// chunkJobs splits the job window [lo, hi) into worker tasks. Without
-// batching every job is its own chunk; with batching, runs of up to
-// spec.Batch contiguous jobs of the same variant are grouped so one
-// fused engine pass covers them. Chunks never span variants (a batch
-// shares one scenario).
-func (rs *resolvedSweep) chunkJobs(lo, hi, batch int) []jobChunk {
-	if batch < 1 {
-		batch = 1
-	}
-	chunks := make([]jobChunk, 0, (hi-lo+batch-1)/batch)
-	for k := 0; k < hi-lo; {
-		v := (lo + k) / rs.seeds
-		end := k + 1
-		for end < hi-lo && end-k < batch && (lo+end)/rs.seeds == v {
-			end++
-		}
-		chunks = append(chunks, jobChunk{k0: k, k1: end})
-		k = end
-	}
-	return chunks
-}
-
-// batchingInfo reports how the job window [lo, hi) executes under the
-// spec's Batch setting. It is a pure function of the resolved spec and
-// the deterministic chunk layout (chunkJobs), so it needs no feedback
-// from the worker pool — the report is exact, not sampled.
-func (rs *resolvedSweep) batchingInfo(lo, hi int) *BatchingInfo {
-	info := &BatchingInfo{Requested: rs.spec.Batch}
-	_, info.Supported = rs.spec.Primitive.(batchRunner)
-	batch := rs.spec.Batch
-	if !info.Supported || batch <= 1 {
-		info.SequentialRuns = hi - lo
-		return info
-	}
-	for _, c := range rs.chunkJobs(lo, hi, batch) {
-		if n := c.k1 - c.k0; n > 1 {
-			info.BatchedRuns += n
-		} else {
-			info.SequentialRuns++
-		}
-	}
-	return info
-}
-
 // recordResult fills one Run from its primitive Result.
 func (rs *resolvedSweep) recordResult(run *Run, res *Result) {
 	run.Completed = res.Completed
@@ -207,72 +140,39 @@ func (rs *resolvedSweep) recordResult(run *Run, res *Result) {
 // executeJobs runs the contiguous job range [lo, hi) on a worker
 // pool, filling runs[k] with the outcome of job lo+k (runs must come
 // from runFor). Individual run errors are recorded on the Run; only
-// cancellation aborts the pool. When spec.Batch > 1 and the primitive
-// supports batching, workers execute fused multi-run chunks instead of
-// single runs — with byte-identical results (see batchRunner).
+// cancellation aborts the pool.
 func (rs *resolvedSweep) executeJobs(ctx context.Context, lo, hi int, runs []Run) error {
 	if hi <= lo {
 		return ctx.Err()
 	}
-	var br batchRunner
-	batch := rs.spec.Batch
-	if batch > 1 {
-		br, _ = rs.spec.Primitive.(batchRunner)
-	}
-	if br == nil {
-		batch = 1
-	}
-	chunks := rs.chunkJobs(lo, hi, batch)
-
 	workers := rs.spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(chunks) {
-		workers = len(chunks)
+	if workers > hi-lo {
+		workers = hi - lo
 	}
 
-	feed := make(chan jobChunk)
+	feed := make(chan int)
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			for c := range feed {
-				v := (lo + c.k0) / rs.seeds
-				if c.k1-c.k0 == 1 {
-					run := &runs[c.k0]
-					res, err := rs.spec.Primitive.Run(ctx, rs.scenarios[v], run.Seed)
-					if err != nil {
-						run.Err = err.Error()
-						continue
-					}
-					rs.recordResult(run, res)
-					continue
-				}
-				seeds := make([]uint64, c.k1-c.k0)
-				for i := range seeds {
-					seeds[i] = runs[c.k0+i].Seed
-				}
-				results, err := br.RunBatch(ctx, rs.scenarios[v], seeds)
+			for k := range feed {
+				run := &runs[k]
+				res, err := rs.spec.Primitive.Run(ctx, rs.scenarios[(lo+k)/rs.seeds], run.Seed)
 				if err != nil {
-					// A batch fails as a unit: construction errors are
-					// seed-independent, and cancellation aborts the pool
-					// anyway.
-					for i := c.k0; i < c.k1; i++ {
-						runs[i].Err = err.Error()
-					}
+					run.Err = err.Error()
 					continue
 				}
-				for i, res := range results {
-					rs.recordResult(&runs[c.k0+i], res)
-				}
+				rs.recordResult(run, res)
 			}
 		}()
 	}
 loop:
-	for _, c := range chunks {
+	for k := 0; k < hi-lo; k++ {
 		select {
-		case feed <- c:
+		case feed <- k:
 		case <-ctx.Done():
 			break loop
 		}
@@ -363,6 +263,5 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	return &SweepResult{
 		Aggregates: aggregateRuns(spec.Primitive.Name(), rs.names, rs.seeds, runs),
 		Runs:       runs,
-		Batching:   rs.batchingInfo(0, rs.total),
 	}, nil
 }

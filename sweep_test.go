@@ -29,34 +29,75 @@ func discoverySpec(workers int) crn.SweepSpec {
 	}
 }
 
+// mixedSpec is a sweep over three variants that cover every engine
+// configuration a sweep can run: a plain static variant, one with a
+// run-scoped reactive adversary (an ActivitySink jammer), and a
+// dynamic-topology variant whose runs mutate private graph clones.
+func mixedSpec(primitive crn.Primitive, workers int) crn.SweepSpec {
+	return crn.SweepSpec{
+		Primitive: primitive,
+		Variants: []crn.Variant{
+			{Name: "static", Options: []crn.ScenarioOption{
+				crn.WithTopology(crn.GNP), crn.WithNodes(16), crn.WithDensity(0.3),
+				crn.WithChannels(4, 2, 0), crn.WithSeed(11),
+			}},
+			{Name: "adversary", Options: []crn.ScenarioOption{
+				crn.WithTopology(crn.GNP), crn.WithNodes(14), crn.WithDensity(0.35),
+				crn.WithChannels(4, 2, 0), crn.WithSeed(12), crn.WithAdversary(1),
+			}},
+			{Name: "churn", Options: []crn.ScenarioOption{
+				crn.WithTopology(crn.GNP), crn.WithNodes(12), crn.WithDensity(0.4),
+				crn.WithChannels(3, 2, 0), crn.WithSeed(13), crn.WithChurn(0.002, 0.05, 9),
+			}},
+		},
+		Seeds:       6,
+		BaseSeed:    99,
+		Workers:     workers,
+		KeepResults: true,
+	}
+}
+
 // TestSweepDeterministicAcrossWorkers is the engine's core contract:
 // the same spec produces byte-identical results — runs and aggregates
-// — at every worker count.
+// — at every worker count, for static, adversarial and churning
+// variants alike.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
+	rows := []struct {
+		name string
+		spec func(workers int) crn.SweepSpec
+	}{
+		{"discovery", discoverySpec},
+		{"mixed-cseek", func(w int) crn.SweepSpec { return mixedSpec(crn.Discovery(crn.CSeek), w) }},
+		{"mixed-ckseek", func(w int) crn.SweepSpec { return mixedSpec(crn.KDiscovery(2), w) }},
+	}
 	ctx := context.Background()
-	baseline, err := crn.Sweep(ctx, discoverySpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		res, err := crn.Sweep(ctx, discoverySpec(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("workers=%d diverged from workers=1:\n%s\nvs\n%s", workers, got, want)
-		}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			baseline, err := crn.Sweep(ctx, row.spec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(baseline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				res, err := crn.Sweep(ctx, row.spec(workers))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				got, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Errorf("workers=%d diverged from workers=1:\n%s\nvs\n%s", workers, got, want)
+				}
+			}
+		})
 	}
 }
 
